@@ -154,14 +154,6 @@ BenchParseResult ParseBenchReport(const std::string& text) {
     return result;
   }
   const JsonValue& doc = parsed.value;
-  if (doc.is_array()) {
-    // v1: a bare array of records.
-    result.schema = "v1-array";
-    if (!RecordsFromArray(doc, &result.records, &result.error)) {
-      result.records.clear();
-    }
-    return result;
-  }
   if (doc.is_object()) {
     const JsonValue* schema =
         doc.FindOfType("schema", JsonValue::Type::kString);
@@ -192,7 +184,7 @@ BenchParseResult ParseBenchReport(const std::string& text) {
     }
     return result;
   }
-  result.error = "report is neither a record array nor a v2 object";
+  result.error = "report is not an impreg-bench-v2 object";
   return result;
 }
 

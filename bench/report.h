@@ -25,9 +25,7 @@
 /// compares the two sides' machine maps and warns (or fails, with
 /// --strict-metadata) when they differ: a baseline recorded with the
 /// native/AVX2 kernels must not silently gate a scalar-fallback run,
-/// or vice versa. The v1 format — a bare JSON array of records — is
-/// still accepted by the parser so old baselines diff cleanly against
-/// new runs. Reports default to `bench/out/`
+/// or vice versa. Reports default to `bench/out/`
 /// (gitignored) so the perf trajectory is tracked by tooling
 /// (`impreg_bench_diff`) rather than by committed files. Deliberately
 /// free of any google-benchmark dependency so drivers and one-off
@@ -78,15 +76,15 @@ bool WriteBenchReport(const std::string& path,
 struct BenchParseResult {
   std::vector<BenchRecord> records;
   BenchMetadata machine;  ///< Empty when the document carried none.
-  std::string schema;  ///< "impreg-bench-v2", or "v1-array" for bare arrays.
+  std::string schema;  ///< "impreg-bench-v2".
   std::string error;   ///< Empty on success.
   bool ok() const { return error.empty(); }
 };
 
-/// Parses a report in either format: the v2 object or the v1 bare
-/// array. Records missing `bench` or `ns_per_iter` are an error, not
-/// silently dropped — a truncated baseline must not masquerade as a
-/// clean diff.
+/// Parses an impreg-bench-v2 report; any other document (a bare record
+/// array included) is an error. Records missing `bench` or
+/// `ns_per_iter` are an error, not silently dropped — a truncated
+/// baseline must not masquerade as a clean diff.
 BenchParseResult ParseBenchReport(const std::string& text);
 
 /// Reads and parses `path`.
@@ -141,8 +139,7 @@ BenchDiffResult DiffBenchReports(const std::vector<BenchRecord>& old_records,
 /// human-readable line per mismatch ("native: 'native' vs 'off'"; a key
 /// present on only one side reads "... vs <absent>"). Empty result ⇔
 /// the maps agree on every key either side carries — two metadata-free
-/// reports compare clean, so v1 baselines never warn against each
-/// other.
+/// reports compare clean.
 std::vector<std::string> DiffBenchMetadata(const BenchMetadata& old_machine,
                                            const BenchMetadata& new_machine);
 

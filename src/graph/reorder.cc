@@ -342,12 +342,4 @@ std::vector<double> ReorderedGraph::ToOriginalVector(
   return out;
 }
 
-std::vector<NodeId> ReorderedGraph::ToOriginalNodes(
-    const std::vector<NodeId>& nodes) const {
-  std::vector<NodeId> out;
-  out.reserve(nodes.size());
-  for (const NodeId u : nodes) out.push_back(inverse_[u]);
-  return out;
-}
-
 }  // namespace impreg

@@ -17,19 +17,15 @@
 /// gathers into near-streams. Everything here is deterministic — the
 /// permutation is a pure function of the graph and the method, never of
 /// timing or thread count — and results map back through the inverse
-/// permutation *bit-identically*:
+/// permutation *bit-identically*: `ApplyNodePermutation` keeps every
+/// row's original arc order (rows become unsorted; see
+/// Graph::RowsSorted), so a row's canonical reduction tree (simd.h) sums
+/// the same values in the same order under either labeling — SpMV/SpMM
+/// outputs are bitwise label-invariant.
 ///
-///  - `ApplyNodePermutation` keeps every row's original arc order (rows
-///    become unsorted; see Graph::RowsSorted), so a row's canonical
-///    reduction tree (simd.h) sums the same values in the same order
-///    under either labeling — SpMV/SpMM outputs are bitwise
-///    label-invariant.
-///  - Strongly-local solvers that scan nodes in ascending-id order seed
-///    their worklists through `ReorderedGraph::perm()` so the processing
-///    order is label-invariant too (see PushOptions::queue_seed_order).
-///  - Sparse solvers that iterate hash maps (hk-relax, Nibble) stay
-///    deterministic run-to-run but are *not* bitwise label-invariant;
-///    drivers that need bitwise equality sweep on the original graph.
+/// No solver or serving path relabels its input: this is a graph-layer
+/// utility, exercised by the SpMV/SpMM label-invariance tests and the
+/// reordered-matvec micro benchmarks (docs/memory_layout.md).
 ///
 /// The locality win is measured by `AvgNeighborLabelDistance` and
 /// exported through the metrics registry as
@@ -120,9 +116,6 @@ class ReorderedGraph {
 
   /// Gather back: out[u] = x[perm[u]]. Inverse of ToReorderedVector.
   std::vector<double> ToOriginalVector(const std::vector<double>& x) const;
-
-  /// Maps node ids back to original labels, preserving order.
-  std::vector<NodeId> ToOriginalNodes(const std::vector<NodeId>& nodes) const;
 
   /// kConverged when the permutation was applied (or identity was
   /// requested); kNonFinite when a corrupted permutation was rejected.

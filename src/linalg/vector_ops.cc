@@ -141,26 +141,6 @@ double DistanceL1(const Vector& x, const Vector& y) {
       SumCombine);
 }
 
-double DistanceL1Permuted(const Vector& x, const Vector& y,
-                          const std::vector<std::int32_t>& order) {
-  IMPREG_DCHECK(x.size() == y.size());
-  IMPREG_DCHECK(order.size() == x.size());
-  // Chunk boundaries are those of DistanceL1 on a same-length vector, and
-  // each chunk accumulates in `order` order — so with `order` = an
-  // old→new relabeling this is bit-identical to DistanceL1 on the
-  // original labeling.
-  return ParallelReduce(
-      0, Size(x), kVectorGrain, 0.0,
-      [&](std::int64_t begin, std::int64_t end) {
-        double sum = 0.0;
-        for (std::int64_t i = begin; i < end; ++i) {
-          sum += std::abs(x[order[i]] - y[order[i]]);
-        }
-        return sum;
-      },
-      SumCombine);
-}
-
 double DistanceUpToSign(const Vector& x, const Vector& y) {
   IMPREG_DCHECK(x.size() == y.size());
   struct PlusMinus {

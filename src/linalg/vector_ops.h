@@ -48,15 +48,6 @@ double DistanceL2(const Vector& x, const Vector& y);
 /// ‖x − y‖₁.
 double DistanceL1(const Vector& x, const Vector& y);
 
-/// ‖x − y‖₁ accumulated in the element order given by `order` (a
-/// permutation of [0, n)). Chunk boundaries match DistanceL1's, so with
-/// `order` = an old→new node relabeling this reproduces, bit for bit,
-/// DistanceL1 as the original labeling would have computed it — the hook
-/// that keeps reordered dense solves' convergence decisions (and hence
-/// iteration counts) identical to unreordered ones.
-double DistanceL1Permuted(const Vector& x, const Vector& y,
-                          const std::vector<std::int32_t>& order);
-
 /// Distance up to sign: min(‖x−y‖₂, ‖x+y‖₂). Eigenvectors are only
 /// defined up to sign, so comparisons use this.
 double DistanceUpToSign(const Vector& x, const Vector& y);

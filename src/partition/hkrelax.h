@@ -53,7 +53,9 @@ struct HkRelaxResult {
   std::int64_t work = 0;
   /// kConverged: tail below tolerance. kBudgetExhausted: series cut
   /// early by the budget. kNonFinite: a term went non-finite — poisoned
-  /// entries were dropped and the finite prefix swept.
+  /// entries were dropped and the finite prefix swept. kInvalidInput:
+  /// e^t overflows a double, so the series has no usable stopping rule —
+  /// ρ = 0 and no cut.
   SolverDiagnostics diagnostics;
 };
 

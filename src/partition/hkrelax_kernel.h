@@ -46,6 +46,17 @@ HkRelaxResult HeatKernelRelaxFromDistributionOver(
   }
 
   const double t = options.t;
+  if (!std::isfinite(std::exp(t))) {
+    // The Poisson tail e^t − 1 would be inf (no stopping rule) and ρ
+    // scaled by a vanishing e^{−t}: refuse rather than report a zero ρ
+    // as converged.
+    result.diagnostics.status = SolveStatus::kInvalidInput;
+    result.diagnostics.detail =
+        "e^t overflows a double (t > ~709.78); returning ρ = 0 and no cut";
+    IMPREG_TRACE_FINISH(trace, result.diagnostics);
+    return result;
+  }
+
   // Sparse current term (t^k/k!)·(truncated M)^k s.
   std::unordered_map<NodeId, double> term;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {

@@ -62,18 +62,8 @@ PushResult ApproximatePageRank(const Graph& g, const Vector& seed,
 
   std::deque<NodeId> queue;
   std::vector<char> queued(g.NumNodes(), 0);
-  // The scan order fixes both the initial FIFO contents and the
-  // summation order of the residual mass, so a relabeled run seeded
-  // through ReorderedGraph::perm() reproduces the original run's push
-  // sequence and reported masses exactly.
-  const std::vector<NodeId>* order = options.queue_seed_order;
-  IMPREG_CHECK_MSG(
-      order == nullptr ||
-          IsPermutation(*order, g.NumNodes()),
-      "queue_seed_order must be a permutation of the node ids");
   double residual_mass = 0.0;
-  for (NodeId i = 0; i < g.NumNodes(); ++i) {
-    const NodeId u = order != nullptr ? (*order)[i] : i;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
     residual_mass += result.residual[u];
     if (g.Degree(u) > 0.0 && result.residual[u] >= eps * g.Degree(u)) {
       queue.push_back(u);
@@ -179,24 +169,6 @@ PushResult ApproximatePageRank(const Graph& g, const Vector& seed,
   return result;
 }
 
-PushResult ApproximatePageRank(const ReorderedGraph& rg, const Vector& seed,
-                               const PushOptions& options) {
-  if (!rg.active()) return ApproximatePageRank(rg.original(), seed, options);
-  PushOptions relabeled = options;
-  relabeled.queue_seed_order = &rg.perm();
-  if (options.on_push) {
-    relabeled.on_push = [&rg, &options](std::int64_t push, NodeId u,
-                                        double mass) {
-      options.on_push(push, rg.ToOriginal(u), mass);
-    };
-  }
-  PushResult result =
-      ApproximatePageRank(rg.graph(), rg.ToReorderedVector(seed), relabeled);
-  result.p = rg.ToOriginalVector(result.p);
-  result.residual = rg.ToOriginalVector(result.residual);
-  return result;
-}
-
 LocalClusterResult PushLocalCluster(const Graph& g, NodeId seed,
                                     const PushOptions& options,
                                     const SweepOptions& sweep) {
@@ -205,24 +177,6 @@ LocalClusterResult PushLocalCluster(const Graph& g, NodeId seed,
   SweepOptions sweep_options = sweep;
   sweep_options.scaling = SweepScaling::kDegreeNormalized;
   SweepResult swept = SweepCutOverSupport(g, result.push.p, sweep_options);
-  result.set = std::move(swept.set);
-  result.stats = swept.stats;
-  return result;
-}
-
-LocalClusterResult PushLocalCluster(const ReorderedGraph& rg, NodeId seed,
-                                    const PushOptions& options,
-                                    const SweepOptions& sweep) {
-  // Diffuse on the relabeled graph, sweep on the original: the push
-  // result comes back in original labels, so the sweep sees exactly what
-  // the unreordered path would.
-  LocalClusterResult result;
-  result.push =
-      ApproximatePageRank(rg, SingleNodeSeed(rg.original(), seed), options);
-  SweepOptions sweep_options = sweep;
-  sweep_options.scaling = SweepScaling::kDegreeNormalized;
-  SweepResult swept =
-      SweepCutOverSupport(rg.original(), result.push.p, sweep_options);
   result.set = std::move(swept.set);
   result.stats = swept.stats;
   return result;

@@ -77,6 +77,9 @@ std::string ValidateQuery(const Query& query, NodeId num_nodes) {
   }
   if (query.method == QueryMethod::kHeatKernel) {
     if (!(query.t > 0.0)) return "t must be > 0";
+    if (!std::isfinite(std::exp(query.t))) {
+      return "t must keep e^t finite (t <= ~709.78)";
+    }
     if (!(query.delta > 0.0)) return "delta must be > 0";
   }
   if (query.method == QueryMethod::kNibble && query.steps < 1) {
@@ -279,20 +282,6 @@ const Graph& QueryEngine::Frozen(const DynamicGraph::SnapshotView& snap) {
   return *frozen_;
 }
 
-const ReorderedGraph* QueryEngine::FrozenReordered(
-    const DynamicGraph::SnapshotView& snap) {
-  if (options_.graph.reorder == ReorderMethod::kIdentity) return nullptr;
-  const Graph& frozen = Frozen(snap);
-  if (reordered_ == nullptr || reordered_epoch_ != snap.epoch()) {
-    // The wrapper holds a pointer into frozen_, so it is rebuilt in
-    // lockstep with the snapshot it relabels.
-    reordered_ = std::make_unique<ReorderedGraph>(frozen,
-                                                  options_.graph.reorder);
-    reordered_epoch_ = snap.epoch();
-  }
-  return reordered_.get();
-}
-
 void QueryEngine::ExecutePush(WorkItem& item,
                               const DynamicGraph::SnapshotView& snap) {
   const DynamicGraph& graph = snap.graph();
@@ -384,15 +373,11 @@ void QueryEngine::ExecutePush(WorkItem& item,
 
 void QueryEngine::ExecuteItem(WorkItem& item,
                               const DynamicGraph::SnapshotView& snap,
-                              const Graph* frozen,
-                              const ReorderedGraph* reordered) {
+                              const Graph* frozen) {
   IMPREG_METRIC_TIMER("service.query.latency_ns");
-  const bool relabeled = reordered != nullptr && reordered->active();
   // Frozen-slice serving for the community methods: live snapshot,
-  // original labeling (relabeled hosts interleave differently through
-  // their hash maps — see graph/reorder.h), slices frozen at this
-  // epoch by the sequential phase.
-  const bool shard_frozen = !relabeled && shards_ != nullptr &&
+  // slices frozen at this epoch by the sequential phase.
+  const bool shard_frozen = shards_ != nullptr &&
                             snap.epoch() == epoch_ &&
                             shards_->FrozenAt(snap.epoch());
   const Query& q = item.query;
@@ -409,16 +394,7 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.tail_tolerance = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
       HkRelaxResult hk;
-      if (relabeled) {
-        // Runs on the relabeled snapshot and maps back: deterministic,
-        // but hk-relax iterates a hash map, so scores are not bitwise
-        // label-invariant (see graph/reorder.h).
-        hk = HeatKernelRelaxFromDistribution(
-            reordered->graph(), reordered->ToReorderedVector(item.seed),
-            opts);
-        hk.rho = reordered->ToOriginalVector(hk.rho);
-        hk.set = reordered->ToOriginalNodes(hk.set);
-      } else if (shard_frozen) {
+      if (shard_frozen) {
         ShardSet::FrozenView view(*shards_,
                                   shards_->router().HomeShard(q.seeds));
         hk = HeatKernelRelaxFromDistributionOver(view, item.seed, opts);
@@ -443,13 +419,7 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.epsilon = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
       NibbleResult nib;
-      if (relabeled) {
-        nib = NibbleFromDistribution(
-            reordered->graph(), reordered->ToReorderedVector(item.seed),
-            opts);
-        nib.distribution = reordered->ToOriginalVector(nib.distribution);
-        nib.set = reordered->ToOriginalNodes(nib.set);
-      } else if (shard_frozen) {
+      if (shard_frozen) {
         ShardSet::FrozenView view(*shards_,
                                   shards_->router().HomeShard(q.seeds));
         nib = NibbleFromDistributionOver(view, item.seed, opts);
@@ -477,29 +447,18 @@ void QueryEngine::ExecuteItem(WorkItem& item,
 }
 
 void QueryEngine::RunDenseGroup(const Graph& frozen,
-                                const ReorderedGraph* reordered,
                                 std::vector<WorkItem*>& group) {
   IMPREG_METRIC_TIMER("service.dense_group.latency_ns");
   // All group members share (γ, tolerance, max_iterations) by
   // construction; budgets stay per-item.
   const Query& shared = group.front()->query;
   const double gamma = shared.gamma;
-  // With relabeling, the whole Richardson iteration runs in reordered
-  // labels and stays *bitwise* equal to the unreordered solve: SpMM is
-  // label-invariant (arc-order-preserving rows, see graph/reorder.h),
-  // the elementwise update is positionwise, and the convergence norm is
-  // summed in original-label order via DistanceL1Permuted — so iteration
-  // counts and every iterate match; only the storage order differs until
-  // scores are mapped back.
-  const bool relabeled = reordered != nullptr && reordered->active();
-  const Graph& host = relabeled ? reordered->graph() : frozen;
-  const RandomWalkOperator walk(host);
-  const NodeId n = host.NumNodes();
-  const std::int64_t arcs_per_iter = host.NumArcs();
+  const RandomWalkOperator walk(frozen);
+  const NodeId n = frozen.NumNodes();
+  const std::int64_t arcs_per_iter = frozen.NumArcs();
 
   struct DenseState {
     WorkItem* item = nullptr;
-    Vector seed;
     Vector scores;
     Vector next;
     WorkBudget budget;
@@ -513,9 +472,7 @@ void QueryEngine::RunDenseGroup(const Graph& frozen,
     st.item = group[j];
     // Mirrors PersonalizedPageRank's Richardson setup exactly so each
     // column stays bit-identical to its solo solve.
-    st.seed = relabeled ? reordered->ToReorderedVector(st.item->seed)
-                        : st.item->seed;
-    st.scores = st.seed;
+    st.scores = st.item->seed;
     Scale(gamma, st.scores);
     st.budget = WorkBudget(st.item->query.max_work);
   }
@@ -541,7 +498,7 @@ void QueryEngine::RunDenseGroup(const Graph& frozen,
       DenseState& st = states[active_idx[k]];
       st.scores = std::move(xs[k]);
       const Vector& walked = ys[k];
-      const Vector& seed = st.seed;
+      const Vector& seed = st.item->seed;
       st.next.resize(n);
       Vector& next = st.next;
       ParallelFor(0, n, 1 << 14,
@@ -551,9 +508,7 @@ void QueryEngine::RunDenseGroup(const Graph& frozen,
                                 (1.0 - gamma) * walked[u];
                     }
                   });
-      const double delta =
-          relabeled ? DistanceL1Permuted(next, st.scores, reordered->perm())
-                    : DistanceL1(next, st.scores);
+      const double delta = DistanceL1(next, st.scores);
       st.iterations = iter;
       if (!std::isfinite(delta)) {
         st.diag.status = SolveStatus::kNonFinite;
@@ -591,8 +546,7 @@ void QueryEngine::RunDenseGroup(const Graph& frozen,
           "iteration cap hit; scores are the early-stopped diffusion";
     }
     WorkItem& item = *st.item;
-    item.response.scores = relabeled ? reordered->ToOriginalVector(st.scores)
-                                     : std::move(st.scores);
+    item.response.scores = std::move(st.scores);
     item.response.work = static_cast<std::int64_t>(st.iterations) *
                          std::max<std::int64_t>(arcs_per_iter, 1);
     item.response.status = st.diag.status;
@@ -746,10 +700,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
     }
   }
   const Graph* frozen = needs_frozen ? &Frozen(snap) : nullptr;
-  const ReorderedGraph* reordered =
-      needs_frozen ? FrozenReordered(snap) : nullptr;
-  if (sharded && needs_shard_frozen &&
-      (reordered == nullptr || !reordered->active())) {
+  if (sharded && needs_shard_frozen) {
     // Per-shard frozen slices for the community methods, built in the
     // sequential phase (ExecuteItem runs inside ParallelFor).
     shards_->EnsureFrozen(snap.epoch());
@@ -769,7 +720,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
         .push_back(owned.get());
   }
   for (auto& entry : dense_groups) {
-    RunDenseGroup(*frozen, reordered, entry.second);
+    RunDenseGroup(*frozen, entry.second);
   }
 
   // Phase 3b (parallel): everything else, one item per task. Each
@@ -782,7 +733,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
   ParallelFor(0, static_cast<std::int64_t>(pending.size()), 1,
               [&](std::int64_t begin, std::int64_t end) {
                 for (std::int64_t i = begin; i < end; ++i) {
-                  ExecuteItem(*pending[i], snap, frozen, reordered);
+                  ExecuteItem(*pending[i], snap, frozen);
                 }
               });
 

@@ -11,7 +11,6 @@
 #include "core/budget_pool.h"
 #include "core/solve_status.h"
 #include "graph/graph.h"
-#include "graph/reorder.h"
 #include "linalg/vector_ops.h"
 #include "service/result_cache.h"
 #include "service/sharding/shard_set.h"
@@ -157,19 +156,6 @@ class QueryEngine {
     /// the invalidate-the-world baseline (every edit retires every
     /// exact entry) — kept for the cache-retention benchmark.
     bool surgical_invalidation = true;
-    /// Cache-aware relabeling of the frozen CSR snapshot the
-    /// dense/heat-kernel/nibble solvers run on. Dense answers map back
-    /// *bitwise* (ApplyBatch is label-invariant and convergence is
-    /// measured in original-label order via DistanceL1Permuted — same
-    /// iterates, same iteration counts); hk-relax and nibble stay
-    /// deterministic run-to-run but are not bitwise label-invariant
-    /// (they iterate hash maps — see graph/reorder.h). Push queries run
-    /// on the unreordered dynamic graph either way. A corrupted
-    /// permutation is rejected at build time and the engine serves the
-    /// original labeling (ReorderedGraph validation).
-    struct GraphOptions {
-      ReorderMethod reorder = ReorderMethod::kIdentity;
-    } graph;
     /// Per-tenant admission control (off by default: every query is
     /// admitted exact and no ledgers are kept).
     struct AdmissionControl {
@@ -335,16 +321,10 @@ class QueryEngine {
   /// dense/heat-kernel/nibble paths.
   const Graph& Frozen(const DynamicGraph::SnapshotView& snap);
 
-  /// The relabeled view of Frozen() (epoch-tracked alongside it), or
-  /// nullptr when options.graph.reorder == kIdentity. Must be called
-  /// from the sequential phases only — it rebuilds lazily.
-  const ReorderedGraph* FrozenReordered(const DynamicGraph::SnapshotView& snap);
-
   void ExecuteItem(WorkItem& item, const DynamicGraph::SnapshotView& snap,
-                   const Graph* frozen, const ReorderedGraph* reordered);
+                   const Graph* frozen);
   void ExecutePush(WorkItem& item, const DynamicGraph::SnapshotView& snap);
-  void RunDenseGroup(const Graph& frozen, const ReorderedGraph* reordered,
-                     std::vector<WorkItem*>& group);
+  void RunDenseGroup(const Graph& frozen, std::vector<WorkItem*>& group);
 
   Options options_;
   DynamicGraph graph_;
@@ -353,8 +333,6 @@ class QueryEngine {
   TenantBudgetPool pool_;
   std::unique_ptr<Graph> frozen_;
   std::int64_t frozen_epoch_ = -1;
-  std::unique_ptr<ReorderedGraph> reordered_;
-  std::int64_t reordered_epoch_ = -1;
   std::unique_ptr<ShardSet> shards_;
   /// The last kEditJournalCapacity edits, oldest first (consecutive
   /// epochs). A stale-snapshot insert whose missed window outgrew the

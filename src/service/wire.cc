@@ -58,6 +58,12 @@ bool IsExactInt64(double d) {
          d >= -9223372036854775808.0 && d < 9223372036854775808.0;
 }
 
+/// True iff `d` is an integral double in 32-bit `int` range — the
+/// range of NodeId and of the `int` query fields.
+bool IsExactInt32(double d) {
+  return IsExactInt64(d) && d >= -2147483648.0 && d <= 2147483647.0;
+}
+
 bool ReadInt(const JsonValue& obj, const char* key, std::int64_t* out) {
   double d = 0.0;
   if (!ReadNumber(obj, key, &d)) return false;
@@ -69,14 +75,28 @@ bool ReadInt(const JsonValue& obj, const char* key, std::int64_t* out) {
   return true;
 }
 
+/// Reads an optional `int` query field. Absent leaves *out untouched;
+/// a number that is not an integer in `int` range is a parse error
+/// naming the field, never a wrapping narrowing cast.
+bool ReadIntField(const JsonValue& obj, const char* key, int* out,
+                  std::string* error) {
+  double d = 0.0;
+  if (!ReadNumber(obj, key, &d)) return true;
+  if (!IsExactInt32(d)) {
+    *error = std::string("\"") + key +
+             "\" must be an integer in [-2147483648, 2147483647]";
+    return false;
+  }
+  *out = static_cast<int>(d);
+  return true;
+}
+
 /// Reads one edit-endpoint id: must be present, integral, and in
 /// NodeId range. Anything else is a hard parse error.
 bool ReadNodeId(const JsonValue& obj, const char* key, NodeId* out) {
   double d = 0.0;
   if (!ReadNumber(obj, key, &d)) return false;
-  if (!IsExactInt64(d) || d < -2147483648.0 || d > 2147483647.0) {
-    return false;
-  }
+  if (!IsExactInt32(d)) return false;
   *out = static_cast<NodeId>(d);
   return true;
 }
@@ -152,8 +172,7 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
   }
   for (const JsonValue& s : seeds->Items()) {
     const double d = s.is_number() ? s.AsDouble() : -1.0;
-    if (!s.is_number() || !IsExactInt64(d) || d < -2147483648.0 ||
-        d > 2147483647.0) {
+    if (!s.is_number() || !IsExactInt32(d)) {
       *error = "\"seeds\" entries must be integers in node-id range";
       return false;
     }
@@ -163,23 +182,18 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
   ReadNumber(obj, "gamma", &out->query.gamma);
   ReadNumber(obj, "epsilon", &out->query.epsilon);
   ReadNumber(obj, "tolerance", &out->query.tolerance);
-  std::int64_t iters = 0;
-  if (ReadInt(obj, "max_iterations", &iters)) {
-    out->query.max_iterations = static_cast<int>(iters);
-  }
   ReadNumber(obj, "t", &out->query.t);
   ReadNumber(obj, "delta", &out->query.delta);
-  std::int64_t steps = 0;
-  if (ReadInt(obj, "steps", &steps)) {
-    out->query.steps = static_cast<int>(steps);
-  }
   ReadInt(obj, "max_work", &out->query.max_work);
   const JsonValue* tenant = obj.FindOfType("tenant", JsonValue::Type::kString);
   if (tenant != nullptr) out->query.tenant = tenant->AsString();
-  std::int64_t top = 0;
-  if (ReadInt(obj, "top", &top)) {
-    out->top = static_cast<int>(std::max<std::int64_t>(top, 0));
+  if (!ReadIntField(obj, "max_iterations", &out->query.max_iterations,
+                    error) ||
+      !ReadIntField(obj, "steps", &out->query.steps, error) ||
+      !ReadIntField(obj, "top", &out->top, error)) {
+    return false;
   }
+  out->top = std::max(out->top, 0);
   return true;
 }
 

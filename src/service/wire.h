@@ -20,8 +20,10 @@
 /// A remove-edge weight defaults to 0.0 — the "remove the edge
 /// entirely" sentinel — and must be finite and non-negative (a
 /// positive value is a partial weight decrement). All ids must be
-/// integral numbers in NodeId range; anything else is a parse error,
-/// never a truncated cast.
+/// integral numbers in NodeId range, and the `int` query fields
+/// (`max_iterations`, `steps`, `top`) integral numbers in `int` range;
+/// anything else is a parse error naming the field, never a truncated
+/// or wrapped cast.
 ///
 /// `op` defaults to "query". Query fields beyond `seeds` are optional
 /// and default to the Query struct defaults; `method` is one of "ppr",

@@ -138,14 +138,16 @@ TEST(GoldenTest, BenchFixturesParseWithExpectedRecords) {
             nullptr);
 }
 
-TEST(GoldenTest, V1BareArrayReportsStillParse) {
-  const BenchParseResult v1 = ParseBenchReport(
+TEST(GoldenTest, BareArrayReportsAreRejected) {
+  // Only impreg-bench-v2 objects are reports: a bare array of otherwise
+  // well-formed records is bad input, not an unversioned baseline.
+  const BenchParseResult bare = ParseBenchReport(
       "[{\"bench\": \"BM_X/1\", \"n\": 1, \"m\": 0, \"threads\": 1, "
       "\"ns_per_iter\": 10.5}]");
-  ASSERT_TRUE(v1.ok()) << v1.error;
-  EXPECT_EQ(v1.schema, "v1-array");
-  ASSERT_EQ(v1.records.size(), 1u);
-  EXPECT_DOUBLE_EQ(v1.records[0].ns_per_iter, 10.5);
+  EXPECT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.records.empty());
+  EXPECT_NE(bare.error.find("impreg-bench-v2"), std::string::npos)
+      << bare.error;
 }
 
 TEST(GoldenTest, MalformedReportsAreErrorsNotEmptyDiffs) {
@@ -177,7 +179,7 @@ TEST(GoldenTest, MachineMetadataRoundTripsAndStaysOptional) {
 TEST(GoldenTest, MetadataDiffFlagsCrossMachineComparisons) {
   const BenchMetadata native = {{"native", "native"}, {"simd_dense", "avx2"}};
   const BenchMetadata fallback = {{"native", "off"}, {"simd_dense", "avx2"}};
-  // Agreement (including the both-empty v1 case) is silent.
+  // Agreement (including two metadata-free reports) is silent.
   EXPECT_TRUE(DiffBenchMetadata(native, native).empty());
   EXPECT_TRUE(DiffBenchMetadata({}, {}).empty());
   // A changed value and a one-sided key are both mismatches.

@@ -115,5 +115,25 @@ TEST(HkRelaxTest, TermsScaleWithT) {
   EXPECT_GT(a.terms, 0);
 }
 
+TEST(HkRelaxTest, RefusesTWhoseExponentialOverflows) {
+  // e^t is inf from t ≈ 709.78 on: the Poisson tail then gives no
+  // stopping rule, so the run must be refused, never reported converged.
+  const Graph g = CycleGraph(40);
+  for (double t : {710.0, 745.0, 1000.0, 1e300}) {
+    HkRelaxOptions options;
+    options.t = t;
+    const HkRelaxResult r = HeatKernelRelax(g, 0, options);
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kInvalidInput) << t;
+    EXPECT_FALSE(r.diagnostics.usable()) << t;
+    EXPECT_EQ(r.terms, 0) << t;
+    EXPECT_TRUE(r.set.empty()) << t;
+    for (double v : r.rho) EXPECT_EQ(v, 0.0) << t;
+  }
+  HkRelaxOptions large_finite;
+  large_finite.t = 700.0;
+  EXPECT_EQ(HeatKernelRelax(g, 0, large_finite).diagnostics.status,
+            SolveStatus::kConverged);
+}
+
 }  // namespace
 }  // namespace impreg

@@ -3,6 +3,7 @@
 // std::nullopt — never crash, hang, or produce an invalid Graph.
 
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -221,6 +222,28 @@ TEST(IoFuzzTest, WireEditWeightsAndIdsAreValidatedNotTruncated) {
     EXPECT_FALSE(ParseQueryRequest(bad, &request, &error)) << bad;
     EXPECT_FALSE(error.empty());
   }
+
+  // Query fields held as int must be integers in int range: a value
+  // that a narrowing cast would wrap (2^32 + 1 → 1) is a parse error
+  // naming the field, never a silently different query.
+  for (const auto& [bad, field] :
+       {std::pair<const char*, const char*>{
+            R"({"method":"nibble","seeds":[0],"steps":4294967297})",
+            "\"steps\""},
+        {R"({"method":"ppr-dense","seeds":[0],"max_iterations":4294967297})",
+         "\"max_iterations\""},
+        {R"({"method":"ppr","seeds":[0],"top":4294967298})", "\"top\""},
+        {R"({"method":"nibble","seeds":[0],"steps":-2147483649})",
+         "\"steps\""}}) {
+    EXPECT_FALSE(ParseQueryRequest(bad, &request, &error)) << bad;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  ASSERT_TRUE(ParseQueryRequest(
+      R"({"method": "nibble", "seeds": [0], "steps": 2147483647, "top": -4})",
+      &request, &error))
+      << error;
+  EXPECT_EQ(request.query.steps, 2147483647);
+  EXPECT_EQ(request.top, 0);
 
   // The happy paths, including remove-edge's 0-weight default (the
   // "remove entirely" sentinel add-edge must keep rejecting).

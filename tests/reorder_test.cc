@@ -1,14 +1,10 @@
 // Cache-aware relabeling (graph/reorder.h): permutation validity and
 // round-trips on edge-case graphs (empty, isolated nodes, disconnected
-// components, self-loops), bitwise label-invariance of the relabeled
-// CSR (ApplyNodePermutation keeps row arc order), and end-to-end
-// bit-identity of the consumers — push PPR, dense engine queries, and
-// the walk-family NCP portfolio — against their unreordered twins at
-// one and eight threads.
+// components, self-loops), and bitwise label-invariance of the relabeled
+// CSR (ApplyNodePermutation keeps row arc order) under SpMV and SpMM.
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -238,81 +234,6 @@ TEST(ReorderTest, SpmmBatchIsBitwiseLabelInvariant) {
   }
 }
 
-TEST(ReorderTest, PushPprIsBitwiseLabelInvariantAtOneAndEightThreads) {
-  for (const NamedGraph& c : EdgeCaseGraphs()) {
-    if (c.graph.NumNodes() == 0 || c.graph.NumEdges() == 0) continue;
-    // Seed on a node with edges so the push actually runs.
-    NodeId seed_node = 0;
-    while (c.graph.Degree(seed_node) <= 0.0) ++seed_node;
-    const Vector seed = SingleNodeSeed(c.graph, seed_node);
-    PushOptions options;
-    options.alpha = 0.1;
-    options.epsilon = 1e-7;
-    const PushResult expected = ApproximatePageRank(c.graph, seed, options);
-    for (ReorderMethod m : kAllMethods) {
-      SCOPED_TRACE(c.name + std::string("/") + ReorderMethodName(m));
-      const ReorderedGraph rg(c.graph, m);
-      for (int threads : {1, 8}) {
-        const ScopedNumThreads scoped(threads);
-        const PushResult got = ApproximatePageRank(rg, seed, options);
-        EXPECT_EQ(got.pushes, expected.pushes);
-        EXPECT_EQ(got.work, expected.work);
-        EXPECT_EQ(got.support, expected.support);
-        EXPECT_EQ(got.converged, expected.converged);
-        ExpectBitIdentical(got.p, expected.p);
-        ExpectBitIdentical(got.residual, expected.residual);
-      }
-    }
-  }
-}
-
-TEST(ReorderTest, PushCallbackSeesOriginalLabelsAndMasses) {
-  const Graph g = CavemanGraph(6, 8);
-  PushOptions options;
-  options.alpha = 0.15;
-  options.epsilon = 1e-5;
-  struct Event {
-    std::int64_t push;
-    NodeId node;
-    double mass;
-  };
-  std::vector<Event> plain, relabeled;
-  options.on_push = [&plain](std::int64_t push, NodeId u, double mass) {
-    plain.push_back({push, u, mass});
-  };
-  const Vector seed = SingleNodeSeed(g, 3);
-  ApproximatePageRank(g, seed, options);
-  const ReorderedGraph rg(g, ReorderMethod::kRcm);
-  options.on_push = [&relabeled](std::int64_t push, NodeId u, double mass) {
-    relabeled.push_back({push, u, mass});
-  };
-  ApproximatePageRank(rg, seed, options);
-  ASSERT_EQ(plain.size(), relabeled.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].push, relabeled[i].push);
-    EXPECT_EQ(plain[i].node, relabeled[i].node);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain[i].mass),
-              std::bit_cast<std::uint64_t>(relabeled[i].mass));
-  }
-}
-
-TEST(ReorderTest, PushLocalClusterMatchesOriginal) {
-  const Graph g = CavemanGraph(8, 10);
-  PushOptions options;
-  options.alpha = 0.1;
-  options.epsilon = 1e-6;
-  const LocalClusterResult expected = PushLocalCluster(g, 5, options);
-  for (ReorderMethod m : kActiveMethods) {
-    SCOPED_TRACE(ReorderMethodName(m));
-    const ReorderedGraph rg(g, m);
-    const LocalClusterResult got = PushLocalCluster(rg, 5, options);
-    EXPECT_EQ(got.set, expected.set);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.stats.conductance),
-              std::bit_cast<std::uint64_t>(expected.stats.conductance));
-    ExpectBitIdentical(got.push.p, expected.push.p);
-  }
-}
-
 TEST(ReorderTest, RcmImprovesLocalityOnShuffledGrid) {
   // A grid row-major labeling is already local; shuffle it so the
   // relabelers have something to recover, then check RCM gets most of
@@ -333,103 +254,6 @@ TEST(ReorderTest, RcmImprovesLocalityOnShuffledGrid) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(
                 AvgNeighborLabelDistance(rg.graph())),
             std::bit_cast<std::uint64_t>(rg.locality_reordered()));
-}
-
-TEST(ReorderTest, EngineDenseQueriesAreBitIdenticalUnderReorder) {
-  const Graph g = CavemanGraph(8, 12);
-  Query q;
-  q.method = QueryMethod::kPprDense;
-  q.seeds = {3, 40, 41};
-  q.gamma = 0.2;
-  q.tolerance = 1e-12;
-  QueryEngine::Options plain_options;
-  plain_options.enable_cache = false;
-  QueryEngine::Options reorder_options = plain_options;
-  reorder_options.graph.reorder = ReorderMethod::kRcm;
-  QueryEngine plain(g, plain_options);
-  const QueryResponse expected = plain.Run(q);
-  for (int threads : {1, 8}) {
-    const ScopedNumThreads scoped(threads);
-    QueryEngine reordered(g, reorder_options);
-    // A mixed batch exercises the grouped ApplyBatch dense path.
-    Query q2 = q;
-    q2.seeds = {17};
-    const std::vector<QueryResponse> got = reordered.RunBatch({q, q2});
-    EXPECT_EQ(got[0].work, expected.work);
-    EXPECT_EQ(got[0].status, expected.status);
-    ExpectBitIdentical(got[0].scores, expected.scores);
-    const QueryResponse expected2 = plain.Run(q2);
-    ExpectBitIdentical(got[1].scores, expected2.scores);
-  }
-}
-
-TEST(ReorderTest, EngineCommunityQueriesStayDeterministicUnderReorder) {
-  // hk-relax and nibble iterate hash maps, so reordering is only
-  // promised deterministic run-to-run (not bitwise vs the original
-  // labeling) — pin exactly that, plus sane answers in original labels.
-  const Graph g = CavemanGraph(8, 12);
-  QueryEngine::Options options;
-  options.enable_cache = false;
-  options.graph.reorder = ReorderMethod::kRcm;
-  for (QueryMethod method : {QueryMethod::kHeatKernel, QueryMethod::kNibble}) {
-    Query q;
-    q.method = method;
-    q.seeds = {30};
-    QueryEngine a(g, options);
-    QueryEngine b(g, options);
-    const QueryResponse first = a.Run(q);
-    const QueryResponse second = b.Run(q);
-    ASSERT_FALSE(first.set.empty());
-    for (NodeId u : first.set) EXPECT_TRUE(g.IsValidNode(u));
-    EXPECT_EQ(first.set, second.set);
-    ExpectBitIdentical(first.scores, second.scores);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(first.conductance),
-              std::bit_cast<std::uint64_t>(second.conductance));
-    // The community should be (contained in) the seed's cave.
-    const CutStats stats = ComputeCutStats(g, first.set);
-    EXPECT_LT(stats.conductance, 0.5);
-  }
-}
-
-TEST(ReorderTest, EngineSurvivesEdgeInsertionsWithReorder) {
-  // The relabeled snapshot is epoch-tracked: grow the graph between
-  // queries and check answers keep matching an unreordered engine.
-  const Graph g = CavemanGraph(4, 8);
-  QueryEngine::Options reorder_options;
-  reorder_options.graph.reorder = ReorderMethod::kBfs;
-  QueryEngine reordered(g, reorder_options);
-  QueryEngine plain(g);
-  Query q;
-  q.method = QueryMethod::kPprDense;
-  q.seeds = {2};
-  q.tolerance = 1e-11;
-  ExpectBitIdentical(reordered.Run(q).scores, plain.Run(q).scores);
-  reordered.AddEdge(0, 17, 2.0);
-  plain.AddEdge(0, 17, 2.0);
-  EXPECT_EQ(reordered.Epoch(), plain.Epoch());
-  ExpectBitIdentical(reordered.Run(q).scores, plain.Run(q).scores);
-}
-
-TEST(ReorderTest, WalkFamilyPortfolioIsBitwiseLabelInvariant) {
-  const Graph g = CavemanGraph(10, 10);
-  WalkFamilyOptions options;
-  options.num_seeds = 6;
-  options.checkpoints = {2, 8, 32};
-  const std::vector<NcpCluster> expected = WalkFamilyClusters(g, options);
-  WalkFamilyOptions relabeled = options;
-  relabeled.reorder = ReorderMethod::kRcm;
-  for (int threads : {1, 8}) {
-    const ScopedNumThreads scoped(threads);
-    const std::vector<NcpCluster> got = WalkFamilyClusters(g, relabeled);
-    ASSERT_EQ(got.size(), expected.size());
-    ASSERT_FALSE(got.empty());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].nodes, expected[i].nodes);
-      EXPECT_EQ(got[i].method, expected[i].method);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].stats.conductance),
-                std::bit_cast<std::uint64_t>(expected[i].stats.conductance));
-    }
-  }
 }
 
 }  // namespace

@@ -355,13 +355,13 @@ std::vector<Scenario> AllScenarios() {
 
   scenarios.push_back({"reorder", {"graph/reorder"}, [] {
     // A corrupted relabeling permutation must be rejected at build time
-    // (identity fallback), never applied: the push still runs, on the
-    // original labeling, and stays finite.
+    // (identity fallback), never applied: an operator on the wrapper's
+    // graph still runs, on the original labeling, and stays finite.
     const Graph g = CavemanGraph(4, 8);
     const ReorderedGraph rg(g, ReorderMethod::kRcm);
-    const PushResult r = ApproximatePageRank(rg, SingleNodeSeed(g, 0));
-    return Outcome{rg.diagnostics().status,
-                   AllFinite(r.p) && AllFinite(r.residual)};
+    const NormalizedLaplacianOperator op(rg.graph());
+    const Vector y = op.Apply(rg.ToReorderedVector(SingleNodeSeed(g, 0)));
+    return Outcome{rg.diagnostics().status, AllFinite(y)};
   }});
 
   return scenarios;
@@ -470,8 +470,9 @@ TEST(RobustnessTest, CorruptedPermutationIsRejectedNotServed) {
     GTEST_SKIP() << "fault harness not compiled (IMPREG_FAULT_INJECTION=OFF)";
   }
   const Graph g = CavemanGraph(4, 8);
-  const Vector seed = SingleNodeSeed(g, 3);
-  const PushResult expected = ApproximatePageRank(g, seed);
+  Vector x(g.NumNodes());
+  for (NodeId u = 0; u < g.NumNodes(); ++u) x[u] = 1.0 / (1.0 + u);
+  const Vector expected = NormalizedLaplacianOperator(g).Apply(x);
 
   fault::Arm("graph/reorder_permutation", fault::FaultKind::kNaN);
   const ReorderedGraph rg(g, ReorderMethod::kRcm);
@@ -488,16 +489,15 @@ TEST(RobustnessTest, CorruptedPermutationIsRejectedNotServed) {
     EXPECT_EQ(rg.ToOriginal(u), u);
   }
 
-  // Serving through the rejected wrapper reproduces the plain answer
-  // bitwise — the fallback is the original computation, not a degraded
-  // variant.
-  const PushResult served = ApproximatePageRank(rg, seed);
-  ASSERT_EQ(served.p.size(), expected.p.size());
-  for (std::size_t i = 0; i < served.p.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(served.p[i]),
-              std::bit_cast<std::uint64_t>(expected.p[i]));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(served.residual[i]),
-              std::bit_cast<std::uint64_t>(expected.residual[i]));
+  // An operator over the rejected wrapper's graph reproduces the plain
+  // answer bitwise — the fallback is the original computation, not a
+  // degraded variant.
+  const Vector served = NormalizedLaplacianOperator(rg.graph())
+                            .Apply(rg.ToReorderedVector(x));
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(served[i]),
+              std::bit_cast<std::uint64_t>(expected[i]));
   }
 
   // A clean rebuild succeeds and reorders for real.

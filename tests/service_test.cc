@@ -613,6 +613,29 @@ TEST(WireTest, ShedResponseMatchesGoldenLine) {
             "\"set\":[],\"top\":[]}");
 }
 
+TEST(WireTest, HeatKernelTWithOverflowingExponentialIsInvalidInput) {
+  // e^t is inf from t ≈ 709.78 on: such a query is refused up front and
+  // the wire response says so, never "converged" with an empty answer.
+  QueryEngine engine(ServiceGraph());
+  for (const char* t : {"710", "1000", "1e300"}) {
+    QueryRequest request;
+    std::string error;
+    ASSERT_TRUE(ParseQueryRequest(
+        std::string(R"({"id":"hk","method":"heat-kernel","seeds":[0],"t":)") +
+            t + "}",
+        &request, &error))
+        << error;
+    const QueryResponse response = engine.Run(request.query);
+    EXPECT_EQ(response.status, SolveStatus::kInvalidInput) << t;
+    const std::string json =
+        QueryResponseToJson(request, response, engine.Epoch());
+    EXPECT_NE(json.find("\"status\":\"invalid-input\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"degraded\":true"), std::string::npos) << json;
+  }
+  EXPECT_EQ(engine.cache().Size(), 0u);
+}
+
 TEST(QueryEngineTest, HeavyTenantOverloadLeavesLightTenantBitIdentical) {
   // Tenant isolation: a heavy tenant draining its pool must not
   // perturb a co-resident light tenant — the light tenant's responses

@@ -1,7 +1,7 @@
 // impreg_bench_diff — the bench regression gate.
 //
-// Compares two bench reports (impreg-bench-v2 objects or v1 bare
-// arrays, see bench/report.h) benchmark-by-benchmark and exits
+// Compares two bench reports (impreg-bench-v2 objects, see
+// bench/report.h) benchmark-by-benchmark and exits
 // non-zero when any shared benchmark slowed down past the threshold.
 // Wired into ctest (label "observability") so a perf regression fails
 // the suite the same way a wrong answer does.

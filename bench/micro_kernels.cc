@@ -94,14 +94,6 @@ void BM_NormalizedLaplacianMatvecScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_NormalizedLaplacianMatvecScalar)->Arg(1 << 17);
 
-// Forced kAvx2 clamps to scalar on machines without AVX2+FMA, so this
-// sweep runs (and the diff stays meaningful) everywhere.
-void BM_NormalizedLaplacianMatvecSimd(benchmark::State& state) {
-  const simd::ScopedSimdLevel forced(simd::SimdLevel::kAvx2);
-  MatvecBody(state, BenchGraph(state.range(0)));
-}
-BENCHMARK(BM_NormalizedLaplacianMatvecSimd)->Arg(1 << 17);
-
 const ReorderedGraph& BenchReorderedGraph(std::int64_t n) {
   static std::map<std::int64_t, ReorderedGraph>* cache =
       new std::map<std::int64_t, ReorderedGraph>();
@@ -244,8 +236,10 @@ void BM_Dinic(benchmark::State& state) {
   for (auto _ : state) {
     FlowNetwork net(n);
     for (NodeId u = 0; u < n; ++u) {
-      for (const Arc& arc : g.Neighbors(u)) {
-        if (arc.head > u) net.AddEdge(u, arc.head, arc.weight, arc.weight);
+      const auto heads = g.Heads(u);
+      const auto weights = g.Weights(u);
+      for (std::size_t i = 0; i < heads.size(); ++i) {
+        if (heads[i] > u) net.AddEdge(u, heads[i], weights[i], weights[i]);
       }
     }
     benchmark::DoNotOptimize(net.MaxFlow(0, n - 1));
@@ -632,18 +626,13 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
 // The configuration the numbers were measured under: the
 // IMPREG_NATIVE_STATUS compile definition records whether -march=native
 // was requested and honoured ("off" / "native" / "native-rejected" —
-// the CMake warning path), and the per-kernel-class SIMD dispatch
-// levels record what actually ran. impreg_bench_diff compares these
-// maps and flags cross-machine/cross-configuration baselines.
+// the CMake warning path), and the SIMD dispatch level records what
+// actually ran. impreg_bench_diff compares these maps and flags
+// cross-machine/cross-configuration baselines.
 BenchMetadata MachineMetadata() {
   return {
       {"native", IMPREG_NATIVE_STATUS},
-      {"simd_dense",
-       simd::SimdLevelName(simd::ActiveSimdLevel(simd::SimdKernel::kDense))},
-      {"simd_row_gather", simd::SimdLevelName(simd::ActiveSimdLevel(
-                              simd::SimdKernel::kRowGather))},
-      {"simd_row_block4", simd::SimdLevelName(simd::ActiveSimdLevel(
-                              simd::SimdKernel::kRowBlock4))},
+      {"simd", simd::SimdLevelName(simd::ActiveSimdLevel())},
   };
 }
 

@@ -50,8 +50,8 @@ struct BenchRecord {
 /// Flat machine/configuration metadata attached to a report (ordered so
 /// serialization is deterministic). Typical keys: "native" (the
 /// IMPREG_NATIVE_STATUS compile definition: "off", "native", or
-/// "native-rejected"), "simd_dense"/"simd_row_gather"/"simd_row_block4"
-/// (the dispatch level each kernel class resolved to at run time).
+/// "native-rejected"), "simd" (the dispatch level resolved at run
+/// time).
 using BenchMetadata = std::map<std::string, std::string>;
 
 /// Serializes `records` as an impreg-bench-v2 document. `metrics_json`,

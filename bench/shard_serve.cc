@@ -112,8 +112,8 @@ int Run(int argc, char** argv) {
                                 static_cast<int>(boundary.size()) < kSeedsPerShape);
        ++u) {
     bool interior = graph.OutDegree(u) > 0;
-    for (const Arc arc : graph.Neighbors(u)) {
-      interior = interior && owner[arc.head] == owner[u];
+    for (const NodeId v : graph.Heads(u)) {
+      interior = interior && owner[v] == owner[u];
     }
     if (interior && static_cast<int>(deep.size()) < kSeedsPerShape) {
       deep.push_back(u);

@@ -28,10 +28,12 @@ int main() {
   std::vector<std::pair<NodeId, NodeId>> stream;
   std::vector<double> weights;
   for (NodeId u = 0; u < final_graph.NumNodes(); ++u) {
-    for (const Arc& arc : final_graph.Neighbors(u)) {
-      if (arc.head >= u) {
-        stream.push_back({u, arc.head});
-        weights.push_back(arc.weight);
+    const auto row_heads = final_graph.Heads(u);
+    const auto row_weights = final_graph.Weights(u);
+    for (std::size_t i = 0; i < row_heads.size(); ++i) {
+      if (row_heads[i] >= u) {
+        stream.push_back({u, row_heads[i]});
+        weights.push_back(row_weights[i]);
       }
     }
   }

@@ -97,9 +97,8 @@ inline SolveStatus MergeStatus(SolveStatus a, SolveStatus b) {
   return StatusSeverity(a) >= StatusSeverity(b) ? a : b;
 }
 
-/// Per-solve diagnostics carried by every solver result type. The
-/// legacy `converged` bools on the result structs are kept in sync with
-/// `status` so existing call sites compile and behave unchanged.
+/// Per-solve diagnostics carried by every solver result type — the one
+/// record of how the solve ended (`ok()` is "converged").
 struct SolverDiagnostics {
   SolveStatus status = SolveStatus::kMaxIterations;
   /// Iterations (or pushes / Taylor terms / phases) actually performed.

@@ -82,13 +82,11 @@ PageRankResult PersonalizedPageRank(const Graph& g, const Vector& seed,
     IMPREG_TRACE_EVENT(trace, iter, kResidual, delta);
     result.scores.swap(next);
     if (delta <= options.tolerance) {
-      result.converged = true;
       result.diagnostics.status = SolveStatus::kConverged;
       break;
     }
   }
-  if (!result.converged &&
-      result.diagnostics.status == SolveStatus::kMaxIterations) {
+  if (result.diagnostics.status == SolveStatus::kMaxIterations) {
     result.diagnostics.detail =
         "iteration cap hit; scores are the early-stopped diffusion";
   }
@@ -144,7 +142,6 @@ PageRankResult PersonalizedPageRankExact(const Graph& g, const Vector& seed,
     }
   }
   result.iterations = cg.iterations;
-  result.converged = cg.converged;
   result.diagnostics = cg.diagnostics;
   // The inner CG solve traced itself (solver "cg"); count the wrapper.
   IMPREG_METRIC_COUNT("solver.pagerank.exact.solves", 1);
@@ -186,7 +183,6 @@ PageRankResult PersonalizedPageRankChebyshev(const Graph& g,
     fallback.diagnostics.detail =
         std::string("chebyshev solve failed (") + solve.diagnostics.Summary() +
         "); scores are from the Richardson fallback";
-    fallback.converged = false;
     IMPREG_METRIC_COUNT("solver.pagerank.chebyshev.fallbacks", 1);
     return fallback;
   }
@@ -200,7 +196,6 @@ PageRankResult PersonalizedPageRankChebyshev(const Graph& g,
     }
   }
   result.iterations = solve.iterations;
-  result.converged = solve.converged;
   result.diagnostics = solve.diagnostics;
   // The inner Chebyshev solve traced itself (solver "chebyshev").
   IMPREG_METRIC_COUNT("solver.pagerank.chebyshev.solves", 1);

@@ -34,8 +34,6 @@ struct PageRankOptions {
 struct PageRankResult {
   Vector scores;
   int iterations = 0;
-  /// Kept in sync with diagnostics.status == kConverged.
-  bool converged = false;
   SolverDiagnostics diagnostics;
 };
 

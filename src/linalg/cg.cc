@@ -41,7 +41,6 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
   if (options.project_out != nullptr) ProjectOut(*options.project_out, r);
   const double b_norm = Norm2(r);
   if (b_norm == 0.0) {
-    result.converged = true;
     diag.status = SolveStatus::kConverged;
     diag.detail = "zero right-hand side";
     IMPREG_TRACE_FINISH(trace, diag);
@@ -100,7 +99,7 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
     diag.RecordResidual(std::sqrt(rr_new));
     IMPREG_TRACE_EVENT(trace, iter, kResidual, std::sqrt(rr_new));
     if (std::sqrt(rr_new) <= threshold) {
-      result.converged = true;
+      diag.status = SolveStatus::kConverged;
       rr = rr_new;
       break;
     }
@@ -124,7 +123,9 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
 
   // Final gate: never hand back poison, even if it entered between the
   // amortized checks (e.g. on the converging step itself).
-  if (diag.status == SolveStatus::kMaxIterations && !AllFinite(result.x)) {
+  if ((diag.status == SolveStatus::kConverged ||
+       diag.status == SolveStatus::kMaxIterations) &&
+      !AllFinite(result.x)) {
     diag.status = SolveStatus::kNonFinite;
     diag.detail =
         "iterate has non-finite entries; returning last finite iterate";
@@ -132,12 +133,8 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
                        std::sqrt(snapshot_rr));
     result.x = snapshot;
     rr = snapshot_rr;
-    result.converged = false;
   }
-  if (result.converged) {
-    diag.status = SolveStatus::kConverged;
-  } else if (diag.status == SolveStatus::kMaxIterations &&
-             diag.detail.empty()) {
+  if (diag.status == SolveStatus::kMaxIterations && diag.detail.empty()) {
     diag.detail = "iteration cap hit; iterate is the early-stopped answer";
   }
   result.residual_norm = std::sqrt(rr);

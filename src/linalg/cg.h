@@ -31,8 +31,6 @@ struct CgResult {
   Vector x;
   int iterations = 0;
   double residual_norm = 0.0;
-  /// Kept in sync with diagnostics.status == kConverged.
-  bool converged = false;
   SolverDiagnostics diagnostics;
 };
 

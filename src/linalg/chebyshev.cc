@@ -48,7 +48,6 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
 
   const double b_norm = Norm2(b);
   if (b_norm == 0.0) {
-    result.converged = true;
     diag.status = SolveStatus::kConverged;
     diag.detail = "zero right-hand side";
     IMPREG_TRACE_FINISH(trace, diag);
@@ -81,9 +80,9 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
       IMPREG_TRACE_FINISH(trace, diag);
       return result;
     }
-    result.converged = result.residual_norm <= threshold;
-    diag.status = result.converged ? SolveStatus::kConverged
-                                   : SolveStatus::kMaxIterations;
+    diag.status = result.residual_norm <= threshold
+                      ? SolveStatus::kConverged
+                      : SolveStatus::kMaxIterations;
     IMPREG_TRACE_EVENT(trace, 1, kResidual, result.residual_norm);
     IMPREG_TRACE_FINISH(trace, diag);
     return result;
@@ -120,7 +119,7 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
       break;
     }
     if (result.residual_norm <= threshold) {
-      result.converged = true;
+      diag.status = SolveStatus::kConverged;
       break;
     }
     if (result.residual_norm < best_residual) {
@@ -166,7 +165,9 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
 
   // Final gate: never hand back poison that slipped in between the
   // amortized snapshots (the residual is on r, not x).
-  if (diag.status == SolveStatus::kMaxIterations && !AllFinite(result.x)) {
+  if ((diag.status == SolveStatus::kConverged ||
+       diag.status == SolveStatus::kMaxIterations) &&
+      !AllFinite(result.x)) {
     diag.status = SolveStatus::kNonFinite;
     diag.detail =
         "iterate has non-finite entries; returning best finite iterate";
@@ -174,12 +175,8 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
                        snapshot_residual);
     result.x = snapshot;
     result.residual_norm = snapshot_residual;
-    result.converged = false;
   }
-  if (result.converged) {
-    diag.status = SolveStatus::kConverged;
-  } else if (diag.status == SolveStatus::kMaxIterations &&
-             diag.detail.empty()) {
+  if (diag.status == SolveStatus::kMaxIterations && diag.detail.empty()) {
     diag.detail = "iteration cap hit; iterate is the early-stopped answer";
   }
   diag.iterations = result.iterations;

@@ -58,8 +58,8 @@ void SpmmRows(const ArcIndex* offsets, const NodeId* heads, const double* w,
 }
 
 /// Single-vector CSR apply: the B == 1 instantiation of SpmmRows under
-/// the deterministic row partition, with the row tree dispatched to the
-/// AVX2 gather kernel when active.
+/// the deterministic row partition (scalar tree; see linalg/simd/simd.h
+/// for why the row gather has no AVX2 path).
 template <bool Subtract, class Init, class Finish>
 void SpmvCsr(const Graph& g, const double* w, const Vector& x, Vector& y,
              const Init& init, const Finish& finish) {
@@ -68,28 +68,10 @@ void SpmvCsr(const Graph& g, const double* w, const Vector& x, Vector& y,
   const NodeId* heads = g.Heads().data();
   const double* xp = x.data();
   double* yp = y.data();
-  const bool avx2 = simd::ActiveSimdLevel(simd::SimdKernel::kRowGather) ==
-                    simd::SimdLevel::kAvx2;
   ParallelFor(0, g.NumNodes(), kRowGrain,
               [&](std::int64_t begin, std::int64_t end) {
-                if (avx2) {
-                  for (std::int64_t u = begin; u < end; ++u) {
-                    const ArcIndex row_begin = offsets[u];
-                    const std::int64_t len = offsets[u + 1] - row_begin;
-                    if (len == 0) {
-                      yp[u] = finish(xp, u, init(xp, u));
-                      continue;
-                    }
-                    const double tree = simd::RowTreeAvx2(
-                        heads + row_begin, w + row_begin, len, xp);
-                    const double acc =
-                        Subtract ? init(xp, u) - tree : init(xp, u) + tree;
-                    yp[u] = finish(xp, u, acc);
-                  }
-                } else {
-                  SpmmRows<Subtract, 1>(offsets, heads, w, begin, end, &xp,
-                                        &yp, init, finish);
-                }
+                SpmmRows<Subtract, 1>(offsets, heads, w, begin, end, &xp,
+                                      &yp, init, finish);
               });
 }
 
@@ -116,8 +98,7 @@ void SpmmCsr(const Graph& g, const double* w, const std::vector<Vector>& xs,
   }
   const ArcIndex* offsets = g.Offsets().data();
   const NodeId* heads = g.Heads().data();
-  const bool avx2 = simd::ActiveSimdLevel(simd::SimdKernel::kRowBlock4) ==
-                    simd::SimdLevel::kAvx2;
+  const bool avx2 = simd::ActiveSimdLevel() == simd::SimdLevel::kAvx2;
   ParallelFor(0, n, kRowGrain, [&](std::int64_t begin, std::int64_t end) {
     std::size_t j = 0;
     for (; j + 4 <= k; j += 4) {

@@ -43,9 +43,7 @@ struct LanczosResult {
   Vector residuals;
   /// Krylov dimension actually built.
   int iterations = 0;
-  /// True if all k Ritz pairs met the residual tolerance. Kept in sync
-  /// with diagnostics.status == kConverged.
-  bool converged = false;
+  /// kConverged iff all k Ritz pairs met the residual tolerance.
   /// kBreakdown: the deflated start vector vanished — the reachable
   /// subspace holds fewer than k pairs (whatever was found is returned).
   /// kNonFinite: poison entered the recurrence — the basis built before

@@ -73,7 +73,6 @@ PowerMethodResult PowerMethod(const LinearOperator& op, Vector start,
     current.swap(next);
     if (options.on_iterate) options.on_iterate(iter, current);
     if (delta < options.tolerance) {
-      result.converged = true;
       diag.status = SolveStatus::kConverged;
       break;
     }
@@ -84,7 +83,6 @@ PowerMethodResult PowerMethod(const LinearOperator& op, Vector start,
     diag.status = SolveStatus::kNonFinite;
     diag.detail = "Rayleigh quotient is non-finite; eigenvalue zeroed";
     result.eigenvalue = 0.0;
-    result.converged = false;
   }
   result.eigenvector = std::move(current);
   diag.iterations = result.iterations;

@@ -38,8 +38,6 @@ struct PowerMethodResult {
   double eigenvalue = 0.0;  ///< Rayleigh quotient at the final iterate.
   Vector eigenvector;       ///< Unit length.
   int iterations = 0;
-  /// Kept in sync with diagnostics.status == kConverged.
-  bool converged = false;
   SolverDiagnostics diagnostics;
 };
 

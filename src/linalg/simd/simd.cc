@@ -20,30 +20,16 @@ bool CpuHasAvx2Fma() {
 #endif
 }
 
-/// The IMPREG_SIMD environment override, read once: -1 unset, 0 scalar
-/// everywhere ("off"/"0"/"scalar"/"false"), 1 AVX2 everywhere
-/// ("avx2"/"on"/"force"). Unrecognized values are treated as unset.
-int EnvOverride() {
+/// True iff the IMPREG_SIMD environment variable is the scalar kill
+/// switch ("off"/"0"/"scalar"/"false", any case). Other values are
+/// ignored.
+bool EnvSaysScalar() {
   const char* env = std::getenv("IMPREG_SIMD");
-  if (env == nullptr) return -1;
+  if (env == nullptr) return false;
   std::string value(env);
   for (char& c : value) c = static_cast<char>(std::tolower(c));
-  if (value == "off" || value == "0" || value == "scalar" ||
-      value == "false") {
-    return 0;
-  }
-  if (value == "avx2" || value == "on" || value == "force") return 1;
-  return -1;
-}
-
-SimdLevel ProbedDefault(SimdKernel kernel) {
-  static const int env = EnvOverride();
-  if (!Avx2Supported() || env == 0) return SimdLevel::kScalar;
-  if (env == 1) return SimdLevel::kAvx2;
-  // Per-class default: the irregular single-vector gather measures
-  // slower than the striped scalar tree on our cores (see simd.h).
-  return kernel == SimdKernel::kRowGather ? SimdLevel::kScalar
-                                          : SimdLevel::kAvx2;
+  return value == "off" || value == "0" || value == "scalar" ||
+         value == "false";
 }
 
 }  // namespace
@@ -63,10 +49,13 @@ bool Avx2Supported() {
   return supported;
 }
 
-SimdLevel ActiveSimdLevel(SimdKernel kernel) {
+SimdLevel ActiveSimdLevel() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<SimdLevel>(forced);
-  return ProbedDefault(kernel);
+  static const SimdLevel probed = Avx2Supported() && !EnvSaysScalar()
+                                      ? SimdLevel::kAvx2
+                                      : SimdLevel::kScalar;
+  return probed;
 }
 
 void ForceSimdLevel(SimdLevel level) {

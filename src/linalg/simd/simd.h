@@ -4,12 +4,14 @@
 #include <cstdint>
 
 /// \file
-/// Runtime-dispatched SIMD kernels for the four hot loops: the CSR SpMV
-/// row gather, the register-blocked ApplyBatch SpMM, and the dense
-/// axpy/dot in vector_ops. Two implementations exist for every kernel —
-/// a portable scalar one and an AVX2 one — and both compute the *same
-/// canonical reduction tree*, so the dispatch decision never changes a
-/// result bit (pinned by determinism_test and simd_test).
+/// Runtime-dispatched SIMD kernels for the three hot loops: the
+/// register-blocked ApplyBatch SpMM and the dense axpy/dot in
+/// vector_ops. Each has a portable scalar implementation and an AVX2
+/// one, and both compute the *same canonical reduction tree*, so the
+/// dispatch decision never changes a result bit (pinned by
+/// determinism_test and simd_test). The single-vector CSR SpMV row runs
+/// the scalar tree only: its irregular x[heads[a]] loads left an AVX2
+/// version spending its time packing lanes, 10–30% slower.
 ///
 /// Canonical reduction trees (see docs/simd.md for the full rules):
 ///
@@ -29,34 +31,21 @@
 /// an FMA rounds once where mul+add rounds twice, so the AVX2
 /// translation unit is compiled with `-ffp-contract=off`.
 ///
-/// Dispatch: `ActiveSimdLevel(kernel)` probes CPUID once (AVX2 and FMA
-/// flags) and honours the `IMPREG_SIMD=OFF` cmake option (compiles the
-/// AVX2 unit out entirely) plus the `IMPREG_SIMD` environment variable
-/// (read once, at first use): "off"/"0"/"scalar"/"false" force scalar
-/// everywhere, "avx2"/"on"/"force" force AVX2 for every kernel class.
-/// With neither set, the default is *per kernel class*: the dense and
-/// 4-column-block kernels run AVX2 (the block kernel measures ~1.5×
-/// scalar — see bench/micro_kernels), but the single-vector row gather
-/// defaults to scalar: its x[heads[a]] loads are irregular, the vector
-/// version spends its time packing lanes, and on the cores we measure it
-/// loses 10–30% to the striped scalar tree. Both paths stay bit-identical,
-/// so flipping the default on a machine where the gather wins is safe.
-/// Tests and benchmarks pin a level with `ForceSimdLevel`/`ScopedSimdLevel`
-/// (forcing overrides every per-class default).
+/// Dispatch: `ActiveSimdLevel()` is one level for every kernel. It
+/// probes CPUID once (AVX2 and FMA flags) and honours the
+/// `IMPREG_SIMD=OFF` cmake option (compiles the AVX2 unit out entirely)
+/// plus the `IMPREG_SIMD` environment variable (read once, at first
+/// use): "off"/"0"/"scalar"/"false" force scalar; any other value is
+/// ignored. Otherwise the level is AVX2 wherever it is supported (the
+/// block kernel measures ~1.5× scalar — see bench/micro_kernels). Tests
+/// and benchmarks pin a level with `ForceSimdLevel`/`ScopedSimdLevel`,
+/// which override both.
 
 namespace impreg::simd {
 
 enum class SimdLevel : int {
   kScalar = 0,
   kAvx2 = 1,
-};
-
-/// Kernel classes with distinct cost models (and therefore distinct
-/// dispatch defaults).
-enum class SimdKernel : int {
-  kDense = 0,      ///< Contiguous dot/axpy chunks.
-  kRowGather = 1,  ///< Single-vector CSR row: irregular x[heads[a]].
-  kRowBlock4 = 2,  ///< Register-blocked 4-column CSR row (SpMM).
 };
 
 /// "scalar" or "avx2".
@@ -66,14 +55,10 @@ const char* SimdLevelName(SimdLevel level);
 /// x86-64 compiler) AND the running CPU reports AVX2+FMA.
 bool Avx2Supported();
 
-/// The level `kernel` dispatches on: a forced level if one is set, else
-/// the env override, else the per-class probed default described above.
-SimdLevel ActiveSimdLevel(SimdKernel kernel);
-
-/// Shorthand for the dense-kernel level (vector_ops chunks).
-inline SimdLevel ActiveSimdLevel() {
-  return ActiveSimdLevel(SimdKernel::kDense);
-}
+/// The level the dense and block-4 kernels dispatch on: a forced level
+/// if one is set, else scalar if the env switch says off, else the
+/// probed default described above.
+SimdLevel ActiveSimdLevel();
 
 /// Pins the dispatch level (tests/benches). Forcing kAvx2 on a machine
 /// without AVX2 support clamps to kScalar rather than crashing, so
@@ -184,12 +169,10 @@ inline void RowTree4Scalar(const std::int32_t* heads, const double* w,
   }
 }
 
-/// AVX2 implementations of the same trees (set_pd-packed row gather,
-/// cross-column lanes for the 4-column block). When the AVX2 unit is
-/// compiled out these forward to the scalar twins so callers can link
-/// unconditionally; dispatch never selects them in that configuration.
-double RowTreeAvx2(const std::int32_t* heads, const double* w,
-                   std::int64_t len, const double* x);
+/// AVX2 implementations of the same trees (cross-column lanes for the
+/// 4-column block). When the AVX2 unit is compiled out these forward to
+/// the scalar twins so callers can link unconditionally; dispatch never
+/// selects them in that configuration.
 void RowTree4Avx2(const std::int32_t* heads, const double* w,
                   std::int64_t len, const double* const* xs, double* out);
 double DotRangeAvx2(const double* x, const double* y, std::int64_t n);

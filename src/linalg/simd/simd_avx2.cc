@@ -54,24 +54,6 @@ void AxpyRangeAvx2(double a, const double* x, double* y, std::int64_t n) {
   for (std::int64_t i = main; i < n; ++i) y[i] += a * x[i];
 }
 
-double RowTreeAvx2(const std::int32_t* heads, const double* w,
-                   std::int64_t len, const double* x) {
-  // Scalar loads packed with set_pd rather than vgatherdpd: on the
-  // fleet's cores the microcoded gather loses to four plain loads
-  // (measured ~20% slower end to end on BM_NormalizedLaplacianMatvec).
-  const std::int64_t main = len & ~std::int64_t{3};
-  __m256d acc = _mm256_setzero_pd();
-  for (std::int64_t a = 0; a < main; a += 4) {
-    const __m256d xv = _mm256_set_pd(x[heads[a + 3]], x[heads[a + 2]],
-                                     x[heads[a + 1]], x[heads[a]]);
-    const __m256d wv = _mm256_loadu_pd(w + a);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, xv));
-  }
-  double sum = FoldLanes(acc);
-  for (std::int64_t a = main; a < len; ++a) sum += w[a] * x[heads[a]];
-  return sum;
-}
-
 void RowTree4Avx2(const std::int32_t* heads, const double* w,
                   std::int64_t len, const double* const* xs, double* out) {
   // Lane j of every vector is column j; acc_l holds stripe l of all four
@@ -121,11 +103,6 @@ double DotRangeAvx2(const double* x, const double* y, std::int64_t n) {
 
 void AxpyRangeAvx2(double a, const double* x, double* y, std::int64_t n) {
   AxpyRangeScalar(a, x, y, n);
-}
-
-double RowTreeAvx2(const std::int32_t* heads, const double* w,
-                   std::int64_t len, const double* x) {
-  return RowTreeScalar(heads, w, len, x);
 }
 
 void RowTree4Avx2(const std::int32_t* heads, const double* w,

@@ -60,9 +60,7 @@ struct PushResult {
   std::int64_t support = 0;
   /// Σ of degrees of pushed nodes — the true work measure.
   std::int64_t work = 0;
-  /// True iff every residual dropped below ε·d (queue drained). Kept in
-  /// sync with diagnostics.status == kConverged.
-  bool converged = false;
+  /// kConverged iff every residual dropped below ε·d (queue drained);
   /// kBudgetExhausted covers both the push cap and a WorkBudget running
   /// out — either way (p, r) is a valid early-stopped decomposition.
   SolverDiagnostics diagnostics;

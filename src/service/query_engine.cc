@@ -278,6 +278,7 @@ const Graph& QueryEngine::Frozen(const DynamicGraph::SnapshotView& snap) {
   if (frozen_ == nullptr || frozen_epoch_ != snap.epoch()) {
     frozen_ = std::make_unique<Graph>(snap.graph().ToGraph());
     frozen_epoch_ = snap.epoch();
+    IMPREG_METRIC_COUNT("service.engine.freezes", 1);
   }
   return *frozen_;
 }
@@ -386,7 +387,6 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       ExecutePush(item, snap);
       break;
     case QueryMethod::kHeatKernel: {
-      IMPREG_CHECK(frozen != nullptr);
       WorkBudget budget(q.max_work);
       HkRelaxOptions opts;
       opts.t = q.t;
@@ -399,6 +399,7 @@ void QueryEngine::ExecuteItem(WorkItem& item,
                                   shards_->router().HomeShard(q.seeds));
         hk = HeatKernelRelaxFromDistributionOver(view, item.seed, opts);
       } else {
+        IMPREG_CHECK(frozen != nullptr);
         hk = HeatKernelRelaxFromDistribution(*frozen, item.seed, opts);
       }
       item.response.scores = std::move(hk.rho);
@@ -412,7 +413,6 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       break;
     }
     case QueryMethod::kNibble: {
-      IMPREG_CHECK(frozen != nullptr);
       WorkBudget budget(q.max_work);
       NibbleOptions opts;
       opts.steps = q.steps;
@@ -424,6 +424,7 @@ void QueryEngine::ExecuteItem(WorkItem& item,
                                   shards_->router().HomeShard(q.seeds));
         nib = NibbleFromDistributionOver(view, item.seed, opts);
       } else {
+        IMPREG_CHECK(frozen != nullptr);
         nib = NibbleFromDistribution(*frozen, item.seed, opts);
       }
       item.response.scores = std::move(nib.distribution);
@@ -688,23 +689,27 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
     }
   }
 
-  // Freeze the CSR snapshot once, before any parallel work needs it.
-  bool needs_frozen = false;
-  bool needs_shard_frozen = false;
+  // Freeze what the pending items read, once, before any parallel
+  // work needs it. Dense groups read the global CSR. The community
+  // methods read the per-shard frozen slices when the engine is
+  // sharded at this epoch (ExecuteItem's `shard_frozen`), and the
+  // global CSR only otherwise — so a sharded batch of them never pays
+  // for the O(m) global freeze.
+  bool needs_dense = false;
+  bool needs_community = false;
   for (const auto& owned : items) {
     if (owned->done) continue;
-    if (owned->query.method != QueryMethod::kPprPush) needs_frozen = true;
+    if (owned->query.method == QueryMethod::kPprDense) needs_dense = true;
     if (owned->query.method == QueryMethod::kHeatKernel ||
         owned->query.method == QueryMethod::kNibble) {
-      needs_shard_frozen = true;
+      needs_community = true;
     }
   }
-  const Graph* frozen = needs_frozen ? &Frozen(snap) : nullptr;
-  if (sharded && needs_shard_frozen) {
-    // Per-shard frozen slices for the community methods, built in the
-    // sequential phase (ExecuteItem runs inside ParallelFor).
-    shards_->EnsureFrozen(snap.epoch());
-  }
+  if (sharded && needs_community) shards_->EnsureFrozen(snap.epoch());
+  const bool shard_frozen = sharded && shards_->FrozenAt(snap.epoch());
+  const Graph* frozen = needs_dense || (needs_community && !shard_frozen)
+                            ? &Frozen(snap)
+                            : nullptr;
 
   // Phase 3a (grouped): compatible dense solves in lockstep through
   // ApplyBatch. std::map keys the groups deterministically.

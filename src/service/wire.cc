@@ -43,13 +43,6 @@ std::string EscapeJson(const std::string& s) {
   return out;
 }
 
-bool ReadNumber(const JsonValue& obj, const char* key, double* out) {
-  const JsonValue* v = obj.FindOfType(key, JsonValue::Type::kNumber);
-  if (v == nullptr) return false;
-  *out = v->AsDouble();
-  return true;
-}
-
 /// True iff `d` is an integral double that fits std::int64_t exactly —
 /// the guard that keeps `static_cast<std::int64_t>(d)` defined
 /// behavior (a double ≥ 2^63 or NaN makes the bare cast UB).
@@ -64,40 +57,71 @@ bool IsExactInt32(double d) {
   return IsExactInt64(d) && d >= -2147483648.0 && d <= 2147483647.0;
 }
 
-bool ReadInt(const JsonValue& obj, const char* key, std::int64_t* out) {
-  double d = 0.0;
-  if (!ReadNumber(obj, key, &d)) return false;
-  // Non-integral or out-of-range numbers are treated as absent, never
-  // truncated: a caller that must distinguish (edit endpoints) reads
-  // the raw number itself and reports the parse error.
-  if (!IsExactInt64(d)) return false;
-  *out = static_cast<std::int64_t>(d);
+/// Looks up optional field `key`: *out is nullptr when it is absent. A
+/// present value of any other type (null included) is a parse error
+/// naming the field and what it must be — never read as "absent".
+bool FindField(const JsonValue& obj, const char* key, JsonValue::Type type,
+               const char* must_be, const JsonValue** out,
+               std::string* error) {
+  *out = obj.Find(key);
+  if (*out == nullptr || (*out)->type() == type) return true;
+  *error = std::string("\"") + key + "\" must be " + must_be;
+  return false;
+}
+
+/// Reads an optional number field; absent leaves *out untouched.
+bool ReadNumberField(const JsonValue& obj, const char* key, double* out,
+                     std::string* error) {
+  const JsonValue* v = nullptr;
+  if (!FindField(obj, key, JsonValue::Type::kNumber, "a number", &v, error)) {
+    return false;
+  }
+  if (v != nullptr) *out = v->AsDouble();
   return true;
 }
 
-/// Reads an optional `int` query field. Absent leaves *out untouched;
-/// a number that is not an integer in `int` range is a parse error
-/// naming the field, never a wrapping narrowing cast.
-bool ReadIntField(const JsonValue& obj, const char* key, int* out,
-                  std::string* error) {
-  double d = 0.0;
-  if (!ReadNumber(obj, key, &d)) return true;
-  if (!IsExactInt32(d)) {
-    *error = std::string("\"") + key +
-             "\" must be an integer in [-2147483648, 2147483647]";
+/// Reads an optional string field; absent leaves *out untouched.
+bool ReadStringField(const JsonValue& obj, const char* key, std::string* out,
+                     std::string* error) {
+  const JsonValue* v = nullptr;
+  if (!FindField(obj, key, JsonValue::Type::kString, "a string", &v, error)) {
     return false;
   }
-  *out = static_cast<int>(d);
+  if (v != nullptr) *out = v->AsString();
+  return true;
+}
+
+/// Reads an optional integer field (`int` or `std::int64_t`). Absent
+/// leaves *out untouched; anything but an integral number in the
+/// field's range is a parse error naming the field, never a truncated
+/// or wrapping cast.
+template <class Int>
+bool ReadIntField(const JsonValue& obj, const char* key, Int* out,
+                  std::string* error) {
+  constexpr bool kWide = sizeof(Int) == sizeof(std::int64_t);
+  const char* must_be =
+      kWide ? "an integer in int64 range"
+            : "an integer in [-2147483648, 2147483647]";
+  const JsonValue* v = nullptr;
+  if (!FindField(obj, key, JsonValue::Type::kNumber, must_be, &v, error)) {
+    return false;
+  }
+  if (v == nullptr) return true;
+  const double d = v->AsDouble();
+  if (!(kWide ? IsExactInt64(d) : IsExactInt32(d))) {
+    *error = std::string("\"") + key + "\" must be " + must_be;
+    return false;
+  }
+  *out = static_cast<Int>(d);
   return true;
 }
 
 /// Reads one edit-endpoint id: must be present, integral, and in
 /// NodeId range. Anything else is a hard parse error.
 bool ReadNodeId(const JsonValue& obj, const char* key, NodeId* out) {
-  double d = 0.0;
-  if (!ReadNumber(obj, key, &d)) return false;
-  if (!IsExactInt32(d)) return false;
-  *out = static_cast<NodeId>(d);
+  const JsonValue* v = obj.FindOfType(key, JsonValue::Type::kNumber);
+  if (v == nullptr || !IsExactInt32(v->AsDouble())) return false;
+  *out = static_cast<NodeId>(v->AsDouble());
   return true;
 }
 
@@ -117,12 +141,11 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
     return false;
   }
 
-  const JsonValue* id = obj.FindOfType("id", JsonValue::Type::kString);
-  if (id != nullptr) out->id = id->AsString();
-
   std::string op = "query";
-  const JsonValue* op_value = obj.FindOfType("op", JsonValue::Type::kString);
-  if (op_value != nullptr) op = op_value->AsString();
+  if (!ReadStringField(obj, "id", &out->id, error) ||
+      !ReadStringField(obj, "op", &op, error)) {
+    return false;
+  }
 
   if (op == "add-edge" || op == "remove-edge") {
     out->is_add_edge = op == "add-edge";
@@ -134,19 +157,17 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
     // Defaults differ: an add accumulates 1.0; a remove's 0.0 means
     // "remove the edge entirely".
     out->weight = out->is_add_edge ? 1.0 : 0.0;
-    double weight = 0.0;
-    if (ReadNumber(obj, "weight", &weight)) {
-      const bool valid = out->is_add_edge
-                             ? std::isfinite(weight) && weight > 0.0
-                             : std::isfinite(weight) && weight >= 0.0;
-      if (!valid) {
-        *error = out->is_add_edge
-                     ? "add-edge weight must be a finite positive number"
-                     : "remove-edge weight must be a finite non-negative "
-                       "number (0 = remove entirely)";
-        return false;
-      }
-      out->weight = weight;
+    if (!ReadNumberField(obj, "weight", &out->weight, error)) return false;
+    const double weight = out->weight;
+    const bool valid = out->is_add_edge
+                           ? std::isfinite(weight) && weight > 0.0
+                           : std::isfinite(weight) && weight >= 0.0;
+    if (!valid) {
+      *error = out->is_add_edge
+                   ? "add-edge weight must be a finite positive number"
+                   : "remove-edge weight must be a finite non-negative "
+                     "number (0 = remove entirely)";
+      return false;
     }
     return true;
   }
@@ -156,8 +177,11 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
     return false;
   }
 
-  const JsonValue* method =
-      obj.FindOfType("method", JsonValue::Type::kString);
+  const JsonValue* method = nullptr;
+  if (!FindField(obj, "method", JsonValue::Type::kString, "a string", &method,
+                 error)) {
+    return false;
+  }
   if (method != nullptr &&
       !QueryMethodFromName(method->AsString(), &out->query.method)) {
     *error = "unknown method \"" + method->AsString() +
@@ -179,17 +203,16 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
     out->query.seeds.push_back(static_cast<NodeId>(d));
   }
 
-  ReadNumber(obj, "gamma", &out->query.gamma);
-  ReadNumber(obj, "epsilon", &out->query.epsilon);
-  ReadNumber(obj, "tolerance", &out->query.tolerance);
-  ReadNumber(obj, "t", &out->query.t);
-  ReadNumber(obj, "delta", &out->query.delta);
-  ReadInt(obj, "max_work", &out->query.max_work);
-  const JsonValue* tenant = obj.FindOfType("tenant", JsonValue::Type::kString);
-  if (tenant != nullptr) out->query.tenant = tenant->AsString();
-  if (!ReadIntField(obj, "max_iterations", &out->query.max_iterations,
-                    error) ||
-      !ReadIntField(obj, "steps", &out->query.steps, error) ||
+  Query& q = out->query;
+  if (!ReadNumberField(obj, "gamma", &q.gamma, error) ||
+      !ReadNumberField(obj, "epsilon", &q.epsilon, error) ||
+      !ReadNumberField(obj, "tolerance", &q.tolerance, error) ||
+      !ReadNumberField(obj, "t", &q.t, error) ||
+      !ReadNumberField(obj, "delta", &q.delta, error) ||
+      !ReadIntField(obj, "max_work", &q.max_work, error) ||
+      !ReadStringField(obj, "tenant", &q.tenant, error) ||
+      !ReadIntField(obj, "max_iterations", &q.max_iterations, error) ||
+      !ReadIntField(obj, "steps", &q.steps, error) ||
       !ReadIntField(obj, "top", &out->top, error)) {
     return false;
   }

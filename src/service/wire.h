@@ -20,10 +20,13 @@
 /// A remove-edge weight defaults to 0.0 — the "remove the edge
 /// entirely" sentinel — and must be finite and non-negative (a
 /// positive value is a partial weight decrement). All ids must be
-/// integral numbers in NodeId range, and the `int` query fields
-/// (`max_iterations`, `steps`, `top`) integral numbers in `int` range;
-/// anything else is a parse error naming the field, never a truncated
-/// or wrapped cast.
+/// integral numbers in NodeId range, the `int` query fields
+/// (`max_iterations`, `steps`, `top`) integral numbers in `int` range,
+/// and `max_work` an integral number in int64 range; anything else is
+/// a parse error naming the field, never a truncated or wrapped cast.
+/// Every optional field present must have its JSON type (a number, or
+/// a string for `id`/`op`/`method`/`tenant`); a mistyped one is a
+/// parse error naming it, never treated as absent.
 ///
 /// `op` defaults to "query". Query fields beyond `seeds` are optional
 /// and default to the Query struct defaults; `method` is one of "ppr",

@@ -43,18 +43,20 @@ TEST(BridgesTest, MatchesBruteForceOnRandomGraphs) {
     const int base_components = CountComponents(g);
     std::vector<Bridge> brute;
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      for (const Arc& arc : g.Neighbors(u)) {
-        if (arc.head <= u) continue;
+      for (const NodeId v : g.Heads(u)) {
+        if (v <= u) continue;
         GraphBuilder builder(g.NumNodes());
         for (NodeId x = 0; x < g.NumNodes(); ++x) {
-          for (const Arc& a : g.Neighbors(x)) {
-            if (a.head > x && !(x == u && a.head == arc.head)) {
-              builder.AddEdge(x, a.head, a.weight);
+          const auto heads = g.Heads(x);
+          const auto weights = g.Weights(x);
+          for (std::size_t i = 0; i < heads.size(); ++i) {
+            if (heads[i] > x && !(x == u && heads[i] == v)) {
+              builder.AddEdge(x, heads[i], weights[i]);
             }
           }
         }
         if (CountComponents(builder.Build()) > base_components) {
-          brute.push_back({u, arc.head});
+          brute.push_back({u, v});
         }
       }
     }

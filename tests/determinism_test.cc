@@ -189,10 +189,12 @@ Vector ReferenceApply(const Graph& g, const LinearOperator& op,
   // Per-arc products in adjacency order, one entry per arc of row u.
   const auto row_terms = [&](NodeId u, const Vector& head_scale) {
     std::vector<double> terms;
-    for (const Arc& arc : g.Neighbors(u)) {
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
       terms.push_back(head_scale.empty()
-                          ? arc.weight * x[arc.head]
-                          : (arc.weight * head_scale[arc.head]) * x[arc.head]);
+                          ? weights[i] * x[heads[i]]
+                          : (weights[i] * head_scale[heads[i]]) * x[heads[i]]);
     }
     return terms;
   };

@@ -58,10 +58,10 @@ TEST(GraphBuilderTest, AdjacencyIsSorted) {
   builder.AddEdge(2, 3);
   builder.AddEdge(2, 1);
   const Graph g = builder.Build();
-  const auto nbrs = g.Neighbors(2);
-  ASSERT_EQ(nbrs.size(), 4u);
-  for (std::size_t i = 0; i + 1 < nbrs.size(); ++i) {
-    EXPECT_LT(nbrs[i].head, nbrs[i + 1].head);
+  const auto heads = g.Heads(2);
+  ASSERT_EQ(heads.size(), 4u);
+  for (std::size_t i = 0; i + 1 < heads.size(); ++i) {
+    EXPECT_LT(heads[i], heads[i + 1]);
   }
 }
 
@@ -125,7 +125,7 @@ TEST(GraphTest, IsolatedNodesHaveZeroDegree) {
   const Graph g = builder.Build();
   EXPECT_DOUBLE_EQ(g.Degree(2), 0.0);
   EXPECT_EQ(g.OutDegree(3), 0);
-  EXPECT_TRUE(g.Neighbors(2).empty());
+  EXPECT_TRUE(g.Heads(2).empty());
 }
 
 }  // namespace

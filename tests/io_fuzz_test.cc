@@ -2,6 +2,7 @@
 // structured-but-corrupted inputs must parse cleanly or return
 // std::nullopt — never crash, hang, or produce an invalid Graph.
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -40,9 +41,11 @@ void CheckParsedGraphIsValid(const std::optional<Graph>& g) {
   // Whatever parsed must be internally consistent.
   double volume = 0.0;
   for (NodeId u = 0; u < g->NumNodes(); ++u) {
-    for (const Arc& arc : g->Neighbors(u)) {
-      ASSERT_TRUE(g->IsValidNode(arc.head));
-      ASSERT_GT(arc.weight, 0.0);
+    const auto heads = g->Heads(u);
+    const auto weights = g->Weights(u);
+    for (std::size_t k = 0; k < heads.size(); ++k) {
+      ASSERT_TRUE(g->IsValidNode(heads[k]));
+      ASSERT_GT(weights[k], 0.0);
     }
     volume += g->Degree(u);
   }
@@ -244,6 +247,41 @@ TEST(IoFuzzTest, WireEditWeightsAndIdsAreValidatedNotTruncated) {
       << error;
   EXPECT_EQ(request.query.steps, 2147483647);
   EXPECT_EQ(request.top, 0);
+
+  // A present field of the wrong JSON type (null included), and a
+  // `max_work` that is not an integer in int64 range, is a parse error
+  // naming the field — never read as "absent" and served with the
+  // default (an unbudgeted solve, a 40-step Nibble).
+  for (const auto& [bad, field] :
+       {std::pair<const char*, const char*>{
+            R"({"method":"ppr","seeds":[0],"epsilon":1e-9,"max_work":16.5})",
+            "\"max_work\""},
+        {R"({"method":"ppr","seeds":[0],"epsilon":1e-9,"max_work":"16"})",
+         "\"max_work\""},
+        {R"({"method":"nibble","seeds":[0],"steps":"3"})", "\"steps\""},
+        {R"({"method":"ppr","seeds":[0],"max_work":1e19})", "\"max_work\""},
+        {R"({"method":5,"seeds":[0]})", "\"method\""},
+        {R"({"method":"ppr","seeds":[0],"gamma":"0.2"})", "\"gamma\""},
+        {R"({"method":"ppr","seeds":[0],"epsilon":null})", "\"epsilon\""},
+        {R"({"method":"ppr","seeds":[0],"tolerance":[1e-6]})",
+         "\"tolerance\""},
+        {R"({"method":"heat-kernel","seeds":[0],"t":true})", "\"t\""},
+        {R"({"method":"heat-kernel","seeds":[0],"delta":{}})", "\"delta\""},
+        {R"({"method":"ppr","seeds":[0],"tenant":7})", "\"tenant\""},
+        {R"({"method":"ppr-dense","seeds":[0],"max_iterations":"9"})",
+         "\"max_iterations\""},
+        {R"({"method":"ppr","seeds":[0],"top":"5"})", "\"top\""},
+        {R"({"id":12,"method":"ppr","seeds":[0]})", "\"id\""},
+        {R"({"op":["query"],"seeds":[0]})", "\"op\""},
+        {R"({"op":"add-edge","u":0,"v":1,"weight":"2"})", "\"weight\""}}) {
+    EXPECT_FALSE(ParseQueryRequest(bad, &request, &error)) << bad;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  ASSERT_TRUE(ParseQueryRequest(
+      R"({"method":"ppr","seeds":[0],"max_work":9007199254740992})",
+      &request, &error))
+      << error;
+  EXPECT_EQ(request.query.max_work, std::int64_t{9007199254740992});
 
   // The happy paths, including remove-edge's 0-weight default (the
   // "remove entirely" sentinel add-edge must keep rejecting).

@@ -580,6 +580,28 @@ TEST(WireTest, ParsesQueryAndAddEdgeLines) {
   EXPECT_FALSE(ParseQueryRequest("not json", &request, &error));
 }
 
+TEST(WireTest, WrongTypedFieldsAreParseErrorsNamingTheField) {
+  // These used to be read as absent: the first two ran unbudgeted, the
+  // third ran the default 40-step Nibble.
+  QueryRequest request;
+  std::string error;
+  for (const auto& [line, field] :
+       {std::pair<const char*, const char*>{
+            R"({"method":"ppr","seeds":[0],"epsilon":1e-9,"max_work":16.5})",
+            "\"max_work\""},
+        {R"({"method":"ppr","seeds":[0],"epsilon":1e-9,"max_work":"16"})",
+         "\"max_work\""},
+        {R"({"method":"nibble","seeds":[0],"steps":"3"})", "\"steps\""}}) {
+    EXPECT_FALSE(ParseQueryRequest(line, &request, &error)) << line;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  ASSERT_TRUE(ParseQueryRequest(
+      R"({"method":"ppr","seeds":[0],"epsilon":1e-9,"max_work":16})",
+      &request, &error))
+      << error;
+  EXPECT_EQ(request.query.max_work, 16);
+}
+
 TEST(WireTest, ShedResponseMatchesGoldenLine) {
   // A shed is a refusal serialized honestly: status "shed", both the
   // shed and degraded flags set, zero work, empty result arrays. The

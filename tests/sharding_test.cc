@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metrics.h"
 #include "core/parallel.h"
 #include "graph/graph.h"
 #include "graph/random_graphs.h"
@@ -215,10 +216,10 @@ TEST(ShardingWillFail, HaloCorruptionChangesServedBits) {
   const std::vector<int>& owner = engine.shards()->plan().owner;
   NodeId cu = -1, cv = -1;
   for (NodeId u = 0; u < g.NumNodes() && cu < 0; ++u) {
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (owner[u] != owner[arc.head]) {
+    for (const NodeId nb : g.Heads(u)) {
+      if (owner[u] != owner[nb]) {
         cu = u;
-        cv = arc.head;
+        cv = nb;
         break;
       }
     }
@@ -432,8 +433,8 @@ TEST(ShardingTest, RoutingEpochBumpsOnNewHaloMembershipOnly) {
   // other shard (that makes the eventual full removal a guaranteed
   // halo shrink).
   const auto interior = [&](NodeId x) {
-    for (const Arc& arc : g.Neighbors(x)) {
-      if (owner[arc.head] != owner[x]) return false;
+    for (const NodeId v : g.Heads(x)) {
+      if (owner[v] != owner[x]) return false;
     }
     return true;
   };
@@ -498,8 +499,8 @@ TEST(ShardingTest, DeepSeedNeverEscalates) {
   NodeId deep = -1;
   for (NodeId u = 0; u < g.NumNodes() && deep < 0; ++u) {
     bool interior = g.OutDegree(u) > 0;
-    for (const Arc& arc : g.Neighbors(u)) {
-      interior = interior && owner[arc.head] == owner[u];
+    for (const NodeId nb : g.Heads(u)) {
+      interior = interior && owner[nb] == owner[u];
     }
     if (interior) deep = u;
   }
@@ -515,6 +516,62 @@ TEST(ShardingTest, DeepSeedNeverEscalates) {
   EXPECT_GT(totals.local_rows, 0);
   EXPECT_EQ(totals.escalations, 0)
       << "a clique-interior push should never leave its shard";
+}
+
+// A sharded engine serves heat-kernel and Nibble from its per-shard
+// frozen slices, so a batch of only those methods after an edit freezes
+// the slices once and never builds the global CSR — and still answers
+// the unsharded engine's bits. A dense query then does build it, which
+// shows the global-freeze counter is live.
+TEST(ShardingTest, CommunityBatchSkipsTheGlobalFreeze) {
+  const Graph g = ErGraph();
+  const NodeId n = g.NumNodes();
+  std::vector<Query> batch;
+  for (QueryMethod method : {QueryMethod::kHeatKernel, QueryMethod::kNibble}) {
+    for (NodeId s : {NodeId{1}, n / 2, n - 1}) {
+      Query q;
+      q.method = method;
+      q.seeds = {s};
+      q.epsilon = 1e-4;
+      q.t = 5.0;
+      q.delta = 1e-4;
+      q.steps = 15;
+      batch.push_back(std::move(q));
+    }
+  }
+  QueryEngine::Options base;
+  base.enable_cache = false;
+  QueryEngine reference(g, base);
+  QueryEngine::Options options = base;
+  options.sharding.shards = 4;
+  QueryEngine engine(g, options);
+  ASSERT_NE(engine.shards(), nullptr);
+  reference.AddEdge(0, n / 2, 1.0);
+  engine.AddEdge(0, n / 2, 1.0);
+  const std::vector<QueryResponse> want = reference.RunBatch(batch);
+
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  const Counter* engine_freezes =
+      registry.FindOrCreateCounter("service.engine.freezes");
+  const Counter* shard_freezes =
+      registry.FindOrCreateCounter("service.shard.freezes");
+  ImpregEnableMetrics(true);
+  const std::int64_t engine_before = engine_freezes->Value();
+  const std::int64_t shard_before = shard_freezes->Value();
+  const std::vector<QueryResponse> got = engine.RunBatch(batch);
+  const std::int64_t engine_after = engine_freezes->Value();
+  const std::int64_t shard_after = shard_freezes->Value();
+  Query dense;
+  dense.method = QueryMethod::kPprDense;
+  dense.seeds = {1};
+  engine.Run(dense);
+  const std::int64_t engine_after_dense = engine_freezes->Value();
+  ImpregEnableMetrics(false);
+
+  EXPECT_EQ(engine_after - engine_before, 0);
+  EXPECT_EQ(shard_after - shard_before, 1);
+  EXPECT_EQ(engine_after_dense - engine_after, 1);
+  ExpectBatchBitwise(want, got, "k=4 heat-kernel/Nibble batch");
 }
 
 // —— Shard manifest ————————————————————————————————————————————————

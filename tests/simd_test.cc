@@ -1,11 +1,14 @@
 // The SIMD dispatch layer (linalg/simd): scalar and AVX2 kernels must
 // compute the *same canonical reduction tree* — bit-identical doubles
 // for every size, tail length, and index pattern — and the dispatch
-// switches (forced level, IMPREG_SIMD env, per-kernel-class defaults)
-// must never change a result, only which implementation computes it.
+// switches (forced level, IMPREG_SIMD env, probed default) must never
+// change a result, only which implementation computes it.
 
 #include <bit>
+#include <cctype>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,8 +18,17 @@
 namespace impreg {
 namespace {
 
-using simd::SimdKernel;
 using simd::SimdLevel;
+
+// True iff IMPREG_SIMD holds one of the scalar kill-switch values.
+bool EnvSaysScalar() {
+  const char* env = std::getenv("IMPREG_SIMD");
+  if (env == nullptr) return false;
+  std::string value(env);
+  for (char& c : value) c = static_cast<char>(std::tolower(c));
+  return value == "off" || value == "0" || value == "scalar" ||
+         value == "false";
+}
 
 void ExpectSameBits(double a, double b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
@@ -74,30 +86,22 @@ TEST(SimdTest, AxpyRangeScalarAndAvx2AreBitIdentical) {
   }
 }
 
-TEST(SimdTest, RowTreeScalarAndAvx2AreBitIdentical) {
-  const std::int32_t kNodes = 512;
-  const std::vector<double> x = RandomDoubles(kNodes, 23);
-  for (std::int64_t len : kSizes) {
-    SCOPED_TRACE(len);
-    const std::vector<std::int32_t> heads = RandomIndices(len, kNodes, 5 + len);
-    const std::vector<double> w = RandomDoubles(len, 29 + len);
-    const double scalar =
-        simd::RowTreeScalar(heads.data(), w.data(), len, x.data());
-    const double avx2 =
-        simd::RowTreeAvx2(heads.data(), w.data(), len, x.data());
-    ExpectSameBits(scalar, avx2);
-  }
-}
-
-TEST(SimdTest, RowTreeHandlesRepeatedAndClusteredIndices) {
+TEST(SimdTest, RowTree4HandlesRepeatedAndClusteredIndices) {
   // Gathers with duplicate indices (self-loops, multi-arcs after
   // permutation) and fully clustered ones must agree too.
-  const std::vector<double> x = RandomDoubles(16, 41);
+  std::vector<std::vector<double>> columns;
+  const double* xs[4];
+  for (int j = 0; j < 4; ++j) {
+    columns.push_back(RandomDoubles(16, 41 + j));
+    xs[j] = columns.back().data();
+  }
   const std::vector<std::int32_t> heads = {3, 3, 3, 3, 0, 15, 0, 15, 7};
   const std::int64_t len = static_cast<std::int64_t>(heads.size());
   const std::vector<double> w = RandomDoubles(len, 43);
-  ExpectSameBits(simd::RowTreeScalar(heads.data(), w.data(), len, x.data()),
-                 simd::RowTreeAvx2(heads.data(), w.data(), len, x.data()));
+  double out_scalar[4], out_avx2[4];
+  simd::RowTree4Scalar(heads.data(), w.data(), len, xs, out_scalar);
+  simd::RowTree4Avx2(heads.data(), w.data(), len, xs, out_avx2);
+  for (int j = 0; j < 4; ++j) ExpectSameBits(out_scalar[j], out_avx2[j]);
 }
 
 TEST(SimdTest, RowTree4ScalarAndAvx2AreBitIdentical) {
@@ -126,68 +130,53 @@ TEST(SimdTest, RowTree4ScalarAndAvx2AreBitIdentical) {
   }
 }
 
-TEST(SimdTest, ForcedLevelOverridesEveryKernelClass) {
+TEST(SimdTest, ForcedLevelOverridesDefault) {
   {
     const simd::ScopedSimdLevel scoped(SimdLevel::kScalar);
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), SimdLevel::kScalar);
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kRowGather),
-              SimdLevel::kScalar);
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kRowBlock4),
-              SimdLevel::kScalar);
     EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kScalar);
   }
   if (simd::Avx2Supported()) {
     const simd::ScopedSimdLevel scoped(SimdLevel::kAvx2);
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), SimdLevel::kAvx2);
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kRowGather), SimdLevel::kAvx2);
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kRowBlock4), SimdLevel::kAvx2);
+    EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kAvx2);
   }
 }
 
 TEST(SimdTest, ForcingAvx2WithoutSupportClampsToScalar) {
   if (simd::Avx2Supported()) GTEST_SKIP() << "AVX2 available on this machine";
   const simd::ScopedSimdLevel scoped(SimdLevel::kAvx2);
-  EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), SimdLevel::kScalar);
+  EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kScalar);
 }
 
 TEST(SimdTest, ScopedLevelNestsAndRestores) {
-  const SimdLevel ambient_dense = simd::ActiveSimdLevel(SimdKernel::kDense);
-  const SimdLevel ambient_gather =
-      simd::ActiveSimdLevel(SimdKernel::kRowGather);
+  const SimdLevel ambient = simd::ActiveSimdLevel();
   {
     const simd::ScopedSimdLevel outer(SimdLevel::kScalar);
-    ASSERT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), SimdLevel::kScalar);
+    ASSERT_EQ(simd::ActiveSimdLevel(), SimdLevel::kScalar);
     if (simd::Avx2Supported()) {
       const simd::ScopedSimdLevel inner(SimdLevel::kAvx2);
-      EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), SimdLevel::kAvx2);
+      EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kAvx2);
     }
-    EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), SimdLevel::kScalar);
+    EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kScalar);
   }
-  EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kDense), ambient_dense);
-  EXPECT_EQ(simd::ActiveSimdLevel(SimdKernel::kRowGather), ambient_gather);
+  EXPECT_EQ(simd::ActiveSimdLevel(), ambient);
 }
 
-TEST(SimdTest, DefaultDispatchIsPerKernelClass) {
-  // Without a forced level or env override, the row gather defaults to
-  // scalar (irregular loads lose on the measured cores) while the dense
-  // and block kernels take AVX2 when available. An IMPREG_SIMD env
-  // override legitimately changes this, so only pin the invariants that
-  // hold either way.
+TEST(SimdTest, DefaultDispatchIsAvx2WhereSupported) {
+  // Without a forced level, every dispatched kernel runs AVX2 when it is
+  // compiled in and the CPU has it.
+  if (EnvSaysScalar()) GTEST_SKIP() << "IMPREG_SIMD forces scalar";
   simd::ResetSimdLevel();
-  const SimdLevel dense = simd::ActiveSimdLevel(SimdKernel::kDense);
-  const SimdLevel gather = simd::ActiveSimdLevel(SimdKernel::kRowGather);
-  const SimdLevel block = simd::ActiveSimdLevel(SimdKernel::kRowBlock4);
-  if (!simd::Avx2Supported()) {
-    EXPECT_EQ(dense, SimdLevel::kScalar);
-    EXPECT_EQ(gather, SimdLevel::kScalar);
-    EXPECT_EQ(block, SimdLevel::kScalar);
-  } else {
-    // Dense and block always share a default; the gather is never
-    // *more* vectorized than they are.
-    EXPECT_EQ(dense, block);
-    EXPECT_TRUE(gather == SimdLevel::kScalar || gather == dense);
-  }
-  EXPECT_EQ(simd::ActiveSimdLevel(), dense);
+  EXPECT_EQ(simd::ActiveSimdLevel(), simd::Avx2Supported()
+                                         ? SimdLevel::kAvx2
+                                         : SimdLevel::kScalar);
+}
+
+TEST(SimdTest, EnvOffForcesScalarWithoutAForcedLevel) {
+  // The runtime kill switch: run with IMPREG_SIMD=off (the simd_env_off
+  // ctest entry does) and the unforced level is scalar everywhere.
+  if (!EnvSaysScalar()) GTEST_SKIP() << "IMPREG_SIMD does not say off";
+  simd::ResetSimdLevel();
+  EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kScalar);
 }
 
 TEST(SimdTest, LevelNamesAreStable) {

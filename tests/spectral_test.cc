@@ -46,11 +46,11 @@ class CheegerPropertyTest : public testing::TestWithParam<int> {
     while (!stack.empty()) {
       const NodeId u = stack.back();
       stack.pop_back();
-      for (const Arc& arc : g.Neighbors(u)) {
-        if (!seen[arc.head]) {
-          seen[arc.head] = 1;
+      for (const NodeId v : g.Heads(u)) {
+        if (!seen[v]) {
+          seen[v] = 1;
           ++count;
-          stack.push_back(arc.head);
+          stack.push_back(v);
         }
       }
     }

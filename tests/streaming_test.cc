@@ -265,8 +265,10 @@ TEST_F(IncrementalPprTest, TracksInsertionsToTheEnd) {
   options.epsilon = 1e-8;
   IncrementalPersonalizedPageRank inc(empty, seed, options);
   for (NodeId u = 0; u < final_graph.NumNodes(); ++u) {
-    for (const Arc& arc : final_graph.Neighbors(u)) {
-      if (arc.head >= u) inc.AddEdge(u, arc.head, arc.weight);
+    const auto heads = final_graph.Heads(u);
+    const auto weights = final_graph.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] >= u) inc.AddEdge(u, heads[i], weights[i]);
     }
   }
   const Vector exact = ExactPpr(inc.graph(), seed, options.gamma);

@@ -4,9 +4,9 @@
 # bench/out/BENCH_cache_retention.json with impreg_bench_diff. The
 # timing threshold is generous (the baseline was recorded on a
 # different machine); the real teeth are inside the bench itself,
-# which aborts unless surgical invalidation retains strictly more
-# exact cache hits than the invalidate-all baseline under the same
-# mixed add/remove edit stream. Invoked as:
+# which aborts unless surgical invalidation keeps serving exact cache
+# hits (which invalidate-all never does) under a mixed add/remove edit
+# stream. Invoked as:
 #
 #   cmake -DBENCH=<cache_retention> -DDIFF=<impreg_bench_diff>
 #         -DBASELINE=<bench/out/BENCH_cache_retention.json>

@@ -9,13 +9,6 @@ namespace impreg {
 double Graph::EdgeWeight(NodeId u, NodeId v) const {
   IMPREG_DCHECK(IsValidNode(u) && IsValidNode(v));
   const auto heads = Heads(u);
-  if (!rows_sorted_) {
-    // Relabeled rows keep their pre-permutation arc order; scan.
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i] == v) return weights_[offsets_[u] + i];
-    }
-    return 0.0;
-  }
   auto it = std::lower_bound(heads.begin(), heads.end(), v);
   if (it != heads.end() && *it == v) {
     return weights_[offsets_[u] + (it - heads.begin())];

@@ -199,11 +199,7 @@ void QueryEngine::FinishEdit(NodeId u, NodeId v) {
   // The surgical pass below then decides, per entry, whether the edit
   // actually touches its read region — only those evict or demote.
   cache_.NoteEpochBump(epoch_ - 1);
-  if (options_.surgical_invalidation) {
-    cache_.InvalidateRegion(u, v);
-  } else {
-    cache_.InvalidateAll();
-  }
+  cache_.InvalidateRegion(u, v);
   edit_journal_.push_back(EditRecord{epoch_, u, v});
   if (edit_journal_.size() > kEditJournalCapacity) edit_journal_.pop_front();
 }
@@ -223,11 +219,7 @@ void QueryEngine::RemoveEdge(NodeId u, NodeId v, double weight) {
 }
 
 void QueryEngine::ReplayEditInvalidation(NodeId u, NodeId v) {
-  if (options_.surgical_invalidation) {
-    cache_.InvalidateRegion(u, v);
-  } else {
-    cache_.InvalidateAll();
-  }
+  cache_.InvalidateRegion(u, v);
 }
 
 void QueryEngine::RestoreEpoch(std::int64_t epoch) {
@@ -774,9 +766,8 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
       // graph, so keep it as a warm-restart source only (or drop it
       // when it carries no state).
       if (snap.epoch() < epoch_) {
-        bool stale = !options_.surgical_invalidation ||
-                     epoch_ - snap.epoch() >
-                         static_cast<std::int64_t>(edit_journal_.size());
+        bool stale = epoch_ - snap.epoch() >
+                     static_cast<std::int64_t>(edit_journal_.size());
         if (!stale) {
           for (const EditRecord& e : edit_journal_) {
             if (e.epoch <= snap.epoch()) continue;

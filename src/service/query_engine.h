@@ -150,12 +150,6 @@ class QueryEngine {
     std::size_t cache_capacity = 256;
     /// Disable to force every query cold (determinism tests, benches).
     bool enable_cache = true;
-    /// Surgical invalidation (the default): an edit evicts or demotes
-    /// only the cached entries whose region fingerprint it touches;
-    /// everything else keeps serving exact bits. Disable to restore
-    /// the invalidate-the-world baseline (every edit retires every
-    /// exact entry) — kept for the cache-retention benchmark.
-    bool surgical_invalidation = true;
     /// Per-tenant admission control (off by default: every query is
     /// admitted exact and no ledgers are kept).
     struct AdmissionControl {
@@ -312,8 +306,7 @@ class QueryEngine {
   void BuildShards();
 
   /// Shared edit tail: bump the epoch, retire the old epoch's
-  /// accounting, invalidate surgically (or wholesale, per options),
-  /// and journal the edit.
+  /// accounting, invalidate surgically, and journal the edit.
   void FinishEdit(NodeId u, NodeId v);
 
   /// The frozen CSR snapshot of the batch's pinned epoch (rebuilt

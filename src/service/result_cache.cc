@@ -251,14 +251,6 @@ void ResultCache::InvalidateRegion(NodeId u, NodeId v) {
   ApplyInvalidation(affected);
 }
 
-void ResultCache::InvalidateAll() {
-  std::vector<Entry*> affected;
-  for (Entry& e : entries_) {
-    if (!e.result.warm_only) affected.push_back(&e);
-  }
-  ApplyInvalidation(affected);
-}
-
 void ResultCache::NoteEpochBump(std::int64_t retired_epoch) {
   std::int64_t invalidated = 0;
   std::int64_t demoted = 0;

@@ -205,12 +205,6 @@ class ResultCache {
   /// index, not O(cache size).
   void InvalidateRegion(NodeId u, NodeId v);
 
-  /// The invalidate-the-world baseline: every exact entry is evicted
-  /// or demoted under the same per-entry rule InvalidateRegion uses,
-  /// regardless of region. Kept for the retention benchmark and for
-  /// engines running with surgical invalidation disabled.
-  void InvalidateAll();
-
   /// Epoch-bump accounting: the engine calls this right after an edit
   /// retires `retired_epoch` (the epoch the edit replaced), *before*
   /// InvalidateRegion. Counts entries stamped with that epoch into
@@ -269,7 +263,7 @@ class ResultCache {
   /// entries — they were deregistered at demotion).
   void RemoveFromRegionIndex(Entry* e);
   /// Evicts or demotes every gathered entry and updates the surgical
-  /// stats (shared tail of InvalidateRegion / InvalidateAll).
+  /// stats (the tail of InvalidateRegion).
   void ApplyInvalidation(const std::vector<Entry*>& affected);
   void AccountInsert(const CachedResult& result);
   void AccountErase(const CachedResult& result);

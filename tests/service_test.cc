@@ -380,20 +380,35 @@ TEST(QueryEngineTest, SurgicalInvalidationRetainsEntriesOutsideTheRegion) {
   EXPECT_EQ(engine.cache().stats().region_demoted, 1);
 }
 
-TEST(QueryEngineTest, InvalidateAllBaselineRetiresDistantEntriesToo) {
-  // With surgical invalidation disabled the same sequence retires the
-  // clique-4 entry as well: the old invalidate-the-world contract,
-  // kept as the retention benchmark's baseline.
-  QueryEngine::Options options;
-  options.surgical_invalidation = false;
-  QueryEngine engine(ServiceGraph(), options);
+TEST(QueryEngineTest, StaleSnapshotInsertStaysExactOnlyWhenMissedEditsMissItsRegion) {
+  // A batch pinned before an edit inserts its answers after the edit
+  // landed. The edit journal decides what the insert may claim: a
+  // missed edit outside the answer's region leaves it exact on the live
+  // graph, one inside demotes it to a warm-restart source.
   const Query far_query = PushQuery({45}, 1e-3);
-  ASSERT_EQ(engine.Run(far_query).source, QuerySource::kCold);
-
-  engine.AddEdge(1, 2);
-
-  EXPECT_NE(engine.Run(far_query).source, QuerySource::kCached);
-  EXPECT_EQ(engine.cache().stats().region_retained, 0);
+  {
+    QueryEngine engine(ServiceGraph());
+    const DynamicGraph::SnapshotView pin = engine.PinSnapshot();
+    engine.AddEdge(1, 2);  // Clique 0: outside the clique-4 region.
+    const std::vector<QueryResponse> stale =
+        engine.RunBatchOn(pin, {far_query});
+    ASSERT_EQ(stale[0].source, QuerySource::kCold);
+    EXPECT_EQ(engine.cache().ExactSize(), 1u);
+    const QueryResponse current = engine.Run(far_query);
+    EXPECT_EQ(current.source, QuerySource::kCached);
+    EXPECT_EQ(current.scores, stale[0].scores);
+  }
+  {
+    QueryEngine engine(ServiceGraph());
+    const DynamicGraph::SnapshotView pin = engine.PinSnapshot();
+    engine.AddEdge(41, 42);  // Clique 4: inside the region.
+    const std::vector<QueryResponse> stale =
+        engine.RunBatchOn(pin, {far_query});
+    ASSERT_EQ(stale[0].source, QuerySource::kCold);
+    EXPECT_EQ(engine.cache().ExactSize(), 0u);
+    EXPECT_EQ(engine.cache().Size(), 1u);
+    EXPECT_EQ(engine.Run(far_query).source, QuerySource::kWarm);
+  }
 }
 
 TEST(QueryEngineTest, RemoveEdgeUndoesAddEdgeBitwise) {

@@ -302,12 +302,14 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
-// Streams a JSONL request file into `engine`. Query lines are grouped
-// by the epoch they were issued at: each group pins a SnapshotView, so
-// an edit line (add-edge or remove-edge) never has to wait for (or
-// flush) in-flight queries — the group executes later against its
-// pinned epoch and answers exactly what it would have answered at
-// issue time (snapshot-isolated serving; docs/durability.md).
+// Streams a JSONL request file into `engine`. Query lines collect into
+// one pending batch; an edit line (add-edge or remove-edge) first runs
+// that batch at the current epoch and prints its responses, then
+// applies the edit, and EOF runs whatever is left. Every batch is
+// answered on the live graph — so with shards it is served sharded —
+// and memory holds one batch, not the file. A bad line exits with the
+// responses of every earlier batch already printed; the pending batch
+// it interrupts is not run.
 //
 // Durability (optional): with `wal` set, every edit is appended and
 // fsynced *before* it mutates the graph — write-ahead, so an
@@ -354,11 +356,26 @@ int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
     return true;
   };
 
-  struct Group {
-    DynamicGraph::SnapshotView snap;
-    std::vector<QueryRequest> requests;
+  std::vector<QueryRequest> pending;
+  bool any_unusable = false;
+  const auto run_pending = [&] {
+    if (pending.empty()) return;
+    std::vector<Query> queries;
+    queries.reserve(pending.size());
+    for (const QueryRequest& request : pending) {
+      queries.push_back(request.query);
+    }
+    const std::int64_t epoch = engine.Epoch();
+    const std::vector<QueryResponse> responses = engine.RunBatch(queries);
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (!StatusIsUsable(responses[i].status)) any_unusable = true;
+      std::printf("%s\n",
+                  QueryResponseToJson(pending[i], responses[i], epoch)
+                      .c_str());
+    }
+    pending.clear();
   };
-  std::vector<Group> groups;
+
   std::string line;
   int line_number = 0;
   std::int64_t edits_since_snapshot = 0;
@@ -405,6 +422,7 @@ int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
           return kExitInput;
         }
       }
+      run_pending();
       if (wal != nullptr) {
         std::string detail;
         const SolveStatus appended =
@@ -432,29 +450,9 @@ int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
       }
       continue;
     }
-    if (groups.empty() || groups.back().snap.epoch() != engine.Epoch()) {
-      groups.push_back(Group{engine.PinSnapshot(), {}});
-    }
-    groups.back().requests.push_back(std::move(request));
+    pending.push_back(std::move(request));
   }
-
-  bool any_unusable = false;
-  for (Group& group : groups) {
-    std::vector<Query> queries;
-    queries.reserve(group.requests.size());
-    for (const QueryRequest& request : group.requests) {
-      queries.push_back(request.query);
-    }
-    const std::vector<QueryResponse> responses =
-        engine.RunBatchOn(group.snap, queries);
-    for (std::size_t i = 0; i < group.requests.size(); ++i) {
-      if (!StatusIsUsable(responses[i].status)) any_unusable = true;
-      std::printf("%s\n",
-                  QueryResponseToJson(group.requests[i], responses[i],
-                                      group.snap.epoch())
-                      .c_str());
-    }
-  }
+  run_pending();
   if (!snapshot_dir.empty() && !snapshot_now()) return kExitSolver;
   if (any_unusable) {
     std::fprintf(stderr,
